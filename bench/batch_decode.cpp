@@ -27,7 +27,6 @@
 
 #include "sscor/correlation/correlator.hpp"
 #include "sscor/matching/batch_kernel.hpp"
-#include "sscor/matching/batch_kernels.hpp"
 #include "sscor/traffic/chaff.hpp"
 #include "sscor/traffic/interactive_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
@@ -127,12 +126,8 @@ int main(int argc, char** argv) {
 
   std::printf("== batch_decode: scalar per-hypothesis vs batched SoA ==\n");
   std::printf(
-      "pairs: %zu | packets/flow: %zu | hypotheses/pair: %zu | "
-      "kernels: %s | reps: %zu\n",
-      pairs, packets, hypotheses,
-      batch::kernel_mode() == batch::KernelMode::kVectorized ? "vectorized"
-                                                             : "scalar",
-      reps);
+      "pairs: %zu | packets/flow: %zu | hypotheses/pair: %zu | reps: %zu\n",
+      pairs, packets, hypotheses, reps);
 
   const std::size_t detects = pairs * hypotheses;
   std::vector<CorrelationResult> scalar(detects);
@@ -208,11 +203,6 @@ int main(int argc, char** argv) {
       << "  \"hypotheses_per_pair\": " << hypotheses << ",\n"
       << "  \"detects_per_phase\": " << detects << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"kernel_mode\": "
-      << json::escape(batch::kernel_mode() == batch::KernelMode::kVectorized
-                          ? "vectorized"
-                          : "scalar")
-      << ",\n"
       << "  \"scalar_ns_per_detect\": " << json::number(scalar_ns, 1)
       << ",\n"
       << "  \"batched_ns_per_detect\": " << json::number(batched_ns, 1)

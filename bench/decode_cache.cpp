@@ -4,9 +4,10 @@
 // each cold run repeats the watermark-independent matching phase (window
 // scan + candidate-set build + pruning).  This bench times the 3-correlator
 // loop (Greedy, Greedy+, Greedy*) on the same pairs twice — once cold
-// (Greedy+ and Greedy* each recompute the matching) and once sharing a
-// per-pair MatchContext (matching built once, replayed twice) — verifies
-// the CorrelationResults are field-identical including the paper's cost
+// (each correlator matches and decodes on the scalar runners) and once
+// sharing a per-pair MatchContext (matching built once, replayed by every
+// correlator, each decode on the batched SoA engine) — verifies the
+// CorrelationResults are field-identical including the paper's cost
 // metric (the cost-replay invariant), and records the per-detect speedup
 // as JSON.
 //

@@ -142,7 +142,8 @@ class LatencyFlusher {
 
 CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
                                         const Flow& suspicious,
-                                        const MatchContext* context) const {
+                                        const MatchContext* context,
+                                        const batch::SoaPlan* plan) const {
   TRACE_SPAN("correlate");
   const LatencyFlusher latency_guard;
   if (context != nullptr) {
@@ -158,67 +159,40 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
       context = nullptr;
     }
   }
-  const auto run = [&]() -> CorrelationResult {
+  const auto run_cold = [&]() -> CorrelationResult {
     switch (algorithm_) {
       case Algorithm::kBruteForce:
         return run_brute_force(watermarked.schedule, watermarked.watermark,
-                               watermarked.flow, suspicious, config_, {},
-                               context);
-      case Algorithm::kGreedy: {
-        const DecodePlan plan(watermarked.schedule, watermarked.watermark);
-        return run_greedy(plan, watermarked.flow, suspicious, config_,
-                          context);
-      }
+                               watermarked.flow, suspicious, config_);
+      case Algorithm::kGreedy:
+        return run_greedy(
+            DecodePlan(watermarked.schedule, watermarked.watermark),
+            watermarked.flow, suspicious, config_);
       case Algorithm::kGreedyPlus:
         return run_greedy_plus(watermarked.schedule, watermarked.watermark,
-                               watermarked.flow, suspicious, config_,
-                               context);
+                               watermarked.flow, suspicious, config_);
       case Algorithm::kGreedyStar:
         return run_greedy_star(watermarked.schedule, watermarked.watermark,
-                               watermarked.flow, suspicious, config_,
-                               context);
+                               watermarked.flow, suspicious, config_);
     }
     throw InternalError("unhandled algorithm");
   };
-  const CorrelationResult result = run();
+  const auto run_batched = [&]() -> CorrelationResult {
+    batch::BatchDecoder decoder(config_);
+    if (plan != nullptr) return decoder.decode_one(algorithm_, *context, *plan);
+    return decoder.decode_one(
+        algorithm_, *context,
+        batch::DecodeHypothesis{&watermarked.schedule,
+                                &watermarked.watermark});
+  };
+  const CorrelationResult result =
+      context != nullptr ? run_batched() : run_cold();
 
   // Latency flushes via latency_guard so aborted runs are measured too.
   record_run_metrics(result);
   if (trace::decode_enabled()) {
     record_decode_trace(watermarked.flow, watermarked.watermark, suspicious,
                         config_, context, result);
-  }
-  return result;
-}
-
-CorrelationResult Correlator::correlate_prepared(
-    const WatermarkedFlow& watermarked, const Flow& suspicious,
-    const MatchContext& context, const batch::SoaPlan* plan) const {
-  static metrics::Counter& hits = metrics::counter("match_context.hits");
-  static metrics::Counter& misses = metrics::counter("match_context.misses");
-  if (!context.matches(watermarked.flow, suspicious, config_.max_delay,
-                       config_.size_constraint)) {
-    // Same tolerance as correlate(): a context for another pair or key is
-    // dropped, not fatal — the caller may hold one context while scanning
-    // many suspects.  (correlate() would double-count the miss.)
-    misses.add();
-    return correlate(watermarked, suspicious, nullptr);
-  }
-  hits.add();
-  TRACE_SPAN("correlate");
-  const LatencyFlusher latency_guard;
-  batch::BatchDecoder decoder(config_);
-  const CorrelationResult result =
-      plan != nullptr
-          ? decoder.decode_one(algorithm_, context, *plan)
-          : decoder.decode_one(
-                algorithm_, context,
-                batch::DecodeHypothesis{&watermarked.schedule,
-                                        &watermarked.watermark});
-  record_run_metrics(result);
-  if (trace::decode_enabled()) {
-    record_decode_trace(watermarked.flow, watermarked.watermark, suspicious,
-                        config_, &context, result);
   }
   return result;
 }

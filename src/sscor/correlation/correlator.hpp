@@ -30,29 +30,22 @@ class Correlator {
   /// flow, by decoding the best watermark achievable over matching-packet
   /// subsequences and comparing it to the embedded one.
   ///
-  /// `context`, when non-null, is a precomputed MatchContext for the
-  /// (watermarked.flow, suspicious, config) triple; the matching phase is
-  /// then replayed from the cache with its recorded cost instead of being
-  /// recomputed.  A context built for a different pair or key is silently
-  /// ignored (counted under `match_context.misses`), so callers can pass
-  /// whatever context they have on hand.
+  /// Two decode paths, field-identical in every result (cost included):
+  ///  * no `context`: the scalar run_* correlator matches and decodes cold;
+  ///  * `context`, a precomputed MatchContext for the (watermarked.flow,
+  ///    suspicious, config) triple: the matching phase is replayed from the
+  ///    cache with its recorded cost and the decode runs on the batched SoA
+  ///    engine (batch::BatchDecoder) over the calling thread's workspace.
+  ///    `plan`, when non-null, is the hypothesis's prebuilt SoaPlan (the
+  ///    streaming engine builds it once per upstream); it must describe
+  ///    (watermarked.schedule, watermarked.watermark).
+  /// A context built for a different pair or key is silently dropped
+  /// (counted under `match_context.misses`) and the cold path runs, so
+  /// callers can pass whatever context they have on hand.
   CorrelationResult correlate(const WatermarkedFlow& watermarked,
                               const Flow& suspicious,
-                              const MatchContext* context = nullptr) const;
-
-  /// correlate() over a *required* prebuilt context, decoded on the batched
-  /// SoA engine (batch::BatchDecoder) instead of the scalar runners — same
-  /// result in every field (a tested property), but the per-hypothesis plan
-  /// and selection scratch come from the calling thread's reusable
-  /// workspace.  `plan`, when non-null, is the hypothesis's prebuilt
-  /// SoaPlan (the streaming engine builds it once per upstream); it must
-  /// describe (watermarked.schedule, watermarked.watermark).  A context
-  /// built for a different pair or key falls back to the cold scalar path,
-  /// exactly like correlate() with a stale context.
-  CorrelationResult correlate_prepared(
-      const WatermarkedFlow& watermarked, const Flow& suspicious,
-      const MatchContext& context,
-      const batch::SoaPlan* plan = nullptr) const;
+                              const MatchContext* context = nullptr,
+                              const batch::SoaPlan* plan = nullptr) const;
 
   /// Decodes many (schedule, watermark) hypotheses against one suspicious
   /// flow with the matching phase shared across the whole batch: the

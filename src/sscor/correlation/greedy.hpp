@@ -19,21 +19,13 @@
 #include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/match_context.hpp"
 
 namespace sscor {
 
 /// Runs Greedy.  `upstream` is the watermarked upstream flow the schedule
 /// indexes into; `downstream` the suspicious flow.
-///
-/// `context` is accepted for API uniformity with the other correlators but
-/// deliberately NOT consumed: Greedy's reported cost comes from the ~4rl
-/// binary-search window probes, not the full matching scan, so decoding
-/// from cached scan output would change the paper's cost metric (fig. 7).
-/// A non-null context is still validated against the pair and key.
 CorrelationResult run_greedy(const DecodePlan& plan, const Flow& upstream,
                              const Flow& downstream,
-                             const CorrelatorConfig& config,
-                             const MatchContext* context = nullptr);
+                             const CorrelatorConfig& config);
 
 }  // namespace sscor

@@ -198,14 +198,14 @@ CorrelationResult OnlineCorrelator::result() {
   const Flow downstream = downstream_->to_flow();
   const Correlator offline(config_, algorithm_);
   // Batched path with the upstream's prebuilt SoA plan; field-identical to
-  // offline.correlate(...) by the batch parity suite, but the per-verdict
+  // the cold path by the batch parity suite, but the per-verdict
   // plan build and selection allocations are gone — with thousands of
   // concurrent pairs per shard, verdicts dominate the stream's tail cost.
   const MatchContext context =
       MatchContext::build(upstream_->watermarked().flow, downstream,
                           config_.max_delay, config_.size_constraint);
-  cached_result_ = offline.correlate_prepared(
-      upstream_->watermarked(), downstream, context, &upstream_->soa_plan());
+  cached_result_ = offline.correlate(upstream_->watermarked(), downstream,
+                                     &context, &upstream_->soa_plan());
   return *cached_result_;
 }
 

@@ -70,7 +70,7 @@ class OnlineUpstream {
 
   /// The SoA plan for the batched decode engine, built once per upstream
   /// and reused by every pair's final verdict (result() feeds it to
-  /// Correlator::correlate_prepared).
+  /// Correlator::correlate with the pair's MatchContext).
   const batch::SoaPlan& soa_plan() const { return soa_plan_; }
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;

@@ -497,107 +497,7 @@ class DifferentialOracle final : public Oracle {
 };
 
 // ---------------------------------------------------------------------------
-// Oracle 3: cache_parity.
-
-class CacheParityOracle final : public Oracle {
- public:
-  std::string_view name() const override { return "cache_parity"; }
-
-  std::vector<std::uint8_t> generate(Rng& rng) override {
-    return generate_pipeline_case(rng, /*max_bits=*/4);
-  }
-
-  OracleResult check(const std::vector<std::uint8_t>& payload) override {
-    const auto parsed = parse_case(payload);
-    if (!parsed) return skip_case();
-    const auto pipe = build_pipeline(*parsed);
-    if (!pipe) return skip_case();
-
-    const KeySchedule& schedule = pipe->watermarked.schedule;
-    const Watermark& wm = pipe->watermarked.watermark;
-    const Flow& up = pipe->watermarked.flow;
-    const Flow& down = pipe->downstream;
-    const CorrelatorConfig& config = pipe->config;
-    const MatchContext context = MatchContext::build(
-        up, down, config.max_delay, config.size_constraint);
-    const DecodePlan plan(schedule, wm);
-
-    const auto mismatch = [](const char* algo, const CorrelationResult& cold,
-                             const CorrelationResult& warm) -> std::string {
-      const auto field = [&](const char* what, auto a, auto b) {
-        return std::string(algo) + " diverges between cold and cached "
-               "matching: " + what + " " + std::to_string(a) + " vs " +
-               std::to_string(b);
-      };
-      if (cold.correlated != warm.correlated) {
-        return field("correlated", cold.correlated, warm.correlated);
-      }
-      if (cold.hamming != warm.hamming) {
-        return field("hamming", cold.hamming, warm.hamming);
-      }
-      if (cold.cost != warm.cost) return field("cost", cold.cost, warm.cost);
-      if (cold.matching_complete != warm.matching_complete) {
-        return field("matching_complete", cold.matching_complete,
-                     warm.matching_complete);
-      }
-      if (cold.cost_bound_hit != warm.cost_bound_hit) {
-        return field("cost_bound_hit", cold.cost_bound_hit,
-                     warm.cost_bound_hit);
-      }
-      if (!(cold.best_watermark == warm.best_watermark)) {
-        return std::string(algo) +
-               " diverges between cold and cached matching: best watermark " +
-               cold.best_watermark.to_string() + " vs " +
-               warm.best_watermark.to_string();
-      }
-      return {};
-    };
-
-    BruteForceOptions bf_options;
-    {
-      const auto cold =
-          run_brute_force(schedule, wm, up, down, config, bf_options);
-      const auto warm = run_brute_force(schedule, wm, up, down, config,
-                                        bf_options, &context);
-      if (auto m = mismatch("brute-force", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto cold = run_greedy(plan, up, down, config);
-      const auto warm = run_greedy(plan, up, down, config, &context);
-      if (auto m = mismatch("greedy", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto cold = run_greedy_plus(schedule, wm, up, down, config);
-      const auto warm =
-          run_greedy_plus(schedule, wm, up, down, config, &context);
-      const auto warm2 =
-          run_greedy_plus(schedule, wm, up, down, config, &context);
-      if (auto m = mismatch("greedy+", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-      if (auto m = mismatch("greedy+ (second cached run)", warm, warm2);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto cold = run_greedy_star(schedule, wm, up, down, config);
-      const auto warm =
-          run_greedy_star(schedule, wm, up, down, config, &context);
-      if (auto m = mismatch("greedy*", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    return {};
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Oracles 4-5: resilience (resilient_parity, chaos_decode).
+// Oracles 3-5: batch_parity and resilience (resilient_parity, chaos_decode).
 
 /// The resilience ladder's tier order; index parameters in the chaos
 /// payloads select from it.
@@ -639,8 +539,8 @@ std::string result_mismatch(const std::string& label,
   return {};
 }
 
-/// batch_parity: the batched SoA decode engine is byte-identical to the
-/// scalar runners over a shared MatchContext — for every algorithm, the
+/// batch_parity: the batched SoA decode engine over a shared MatchContext
+/// is byte-identical to the cold scalar runners — for every algorithm, the
 /// loss-robust variant, and a multi-hypothesis batch through one reused
 /// workspace (where stale scratch from the previous hypothesis is the
 /// failure mode the scalar engines cannot have).
@@ -672,53 +572,28 @@ class BatchParityOracle final : public Oracle {
     batch::BatchDecoder decoder(config, &workspace);
     const batch::DecodeHypothesis hyp{&schedule, &wm};
 
-    {
-      const auto scalar =
-          run_brute_force(schedule, wm, up, down, config, {}, &context);
+    const DecodePlan plan(schedule, wm);
+    const CorrelationResult cold[] = {
+        run_brute_force(schedule, wm, up, down, config),
+        run_greedy(plan, up, down, config),
+        run_greedy_plus(schedule, wm, up, down, config),
+        run_greedy_star(schedule, wm, up, down, config),
+    };
+    for (const CorrelationResult& scalar : cold) {
       const auto batched =
-          decoder.decode_one(Algorithm::kBruteForce, context, hyp);
-      if (auto m = result_mismatch("brute-force scalar vs batched", scalar,
-                                   batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const DecodePlan plan(schedule, wm);
-      const auto scalar = run_greedy(plan, up, down, config, &context);
-      const auto batched = decoder.decode_one(Algorithm::kGreedy, context, hyp);
-      if (auto m = result_mismatch("greedy scalar vs batched", scalar, batched);
+          decoder.decode_one(scalar.algorithm, context, hyp);
+      if (auto m = result_mismatch(
+              to_string(scalar.algorithm) + " cold scalar vs batched", scalar,
+              batched);
           !m.empty()) {
         return violation(std::move(m));
       }
     }
     {
       const auto scalar =
-          run_greedy_plus(schedule, wm, up, down, config, &context);
-      const auto batched =
-          decoder.decode_one(Algorithm::kGreedyPlus, context, hyp);
-      if (auto m = result_mismatch("greedy+ scalar vs batched", scalar,
-                                   batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto scalar =
-          run_greedy_star(schedule, wm, up, down, config, &context);
-      const auto batched =
-          decoder.decode_one(Algorithm::kGreedyStar, context, hyp);
-      if (auto m = result_mismatch("greedy* scalar vs batched", scalar,
-                                   batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto scalar = run_greedy_plus_robust(schedule, wm, up, down,
-                                                 config, {}, &context);
+          run_greedy_plus_robust(schedule, wm, up, down, config);
       const auto batched = decoder.robust(context, hyp, {});
-      if (auto m = result_mismatch("robust scalar vs batched", scalar,
+      if (auto m = result_mismatch("robust cold scalar vs batched", scalar,
                                    batched);
           !m.empty()) {
         return violation(std::move(m));
@@ -726,8 +601,8 @@ class BatchParityOracle final : public Oracle {
     }
 
     // Multi-hypothesis batch: the embedded watermark plus its bitwise
-    // complement through decode(); each result must equal a scalar run of
-    // that hypothesis.
+    // complement through decode(); each result must equal a cold scalar
+    // run of that hypothesis.
     std::vector<std::uint8_t> flipped_bits;
     for (std::size_t bit = 0; bit < wm.size(); ++bit) {
       flipped_bits.push_back(static_cast<std::uint8_t>(1 - wm.bit(bit)));
@@ -738,8 +613,7 @@ class BatchParityOracle final : public Oracle {
     const auto batched =
         decoder.decode(Algorithm::kGreedyPlus, context, hypotheses);
     const CorrelationResult scalars[] = {
-        run_greedy_plus(schedule, wm, up, down, config, &context),
-        run_greedy_plus(schedule, flipped, up, down, config, &context)};
+        cold[2], run_greedy_plus(schedule, flipped, up, down, config)};
     for (std::size_t i = 0; i < 2; ++i) {
       if (auto m = result_mismatch(
               "greedy+ hypothesis " + std::to_string(i) + " in batch",
@@ -841,10 +715,11 @@ class ResilientParityOracle final : public Oracle {
   }
 };
 
-/// chaos_decode: deterministic fault injection into a single decode —
-/// a self-cancelling token (trip_after_probes), an already-expired
-/// deadline, and/or an allocation budget that makes some heap request
-/// throw bad_alloc mid-decode.  The contract under every injection mix:
+/// chaos_decode: deterministic fault injection into a single decode on the
+/// batched engine (Correlator::correlate over a shared MatchContext, so the
+/// calling thread's reused workspace is in play) — a self-cancelling token
+/// (trip_after_probes), an already-expired deadline, and/or an allocation
+/// budget that makes some heap request throw bad_alloc mid-decode.  The contract under every injection mix:
 /// a clean error or a correct result, never corruption.  Concretely:
 /// no exception other than the injected bad_alloc escapes; an
 /// uninterrupted chaos result is byte-identical to the clean baseline;
@@ -1995,7 +1870,6 @@ std::vector<std::unique_ptr<Oracle>> make_default_oracles() {
   std::vector<std::unique_ptr<Oracle>> oracles;
   oracles.push_back(std::make_unique<QimRoundtripOracle>());
   oracles.push_back(std::make_unique<DifferentialOracle>());
-  oracles.push_back(std::make_unique<CacheParityOracle>());
   oracles.push_back(std::make_unique<BatchParityOracle>());
   oracles.push_back(std::make_unique<ResilientParityOracle>());
   oracles.push_back(std::make_unique<ChaosDecodeOracle>());

@@ -13,7 +13,7 @@
 //                    out-of-clamp — the shrinker legitimately produces
 //                    such payloads and they count as passes).
 //
-// The thirteen oracles:
+// The twelve oracles:
 //
 //   qim_roundtrip    embed → decode of the QIM scheme is exact whenever all
 //                    IPDs exceed 2*step (no FIFO cascade).  Catches the
@@ -23,10 +23,8 @@
 //                    matching-complete verdict agrees across matchers, and
 //                    chaff+constant-delay alone can never destroy the
 //                    watermark.
-//   cache_parity     every algorithm returns byte-identical results with a
-//                    cached MatchContext and with a cold matching run.
-//   batch_parity     the batched SoA decode engine equals the scalar
-//                    runners over a shared context — every algorithm, the
+//   batch_parity     the batched SoA decode engine over a shared context
+//                    equals the cold scalar runners — every algorithm, the
 //                    robust variant, and multi-hypothesis batches through
 //                    one reused workspace.
 //   resilient_parity whatever tier the fallback ladder lands on equals that
@@ -35,8 +33,9 @@
 //                    Correlator result exactly.
 //   chaos_decode     deterministic fault injection (self-cancelling token,
 //                    pre-expired deadline, allocation failure) into one
-//                    decode: clean error or correct result, never
-//                    corruption, and bit-for-bit replayable.
+//                    batched decode over a shared context: clean error or
+//                    correct result, never corruption, and bit-for-bit
+//                    replayable.
 //   chaos_sweep      mid-sweep abort + checkpoint tampering: cancel, then
 //                    resume over the (possibly tampered) journal must
 //                    reproduce the uncancelled table byte-for-byte.
@@ -105,7 +104,7 @@ class Oracle {
   virtual void add_seed(std::vector<std::uint8_t> seed) { (void)seed; }
 };
 
-/// All thirteen oracles, in the round-robin order the fuzzer drives them.
+/// All twelve oracles, in the round-robin order the fuzzer drives them.
 std::vector<std::unique_ptr<Oracle>> make_default_oracles();
 
 /// Deterministic regression payloads reproducing the historical bugs this

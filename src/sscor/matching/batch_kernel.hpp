@@ -23,17 +23,18 @@
 //                   Greedy*, BruteForce, the loss-robust variant) over the
 //                   flat arrays, with the inner sweeps (timestamp gathers,
 //                   signed pair differences, per-bit reductions) routed
-//                   through the batch_kernels.hpp scalar/vectorized pairs.
+//                   through the batch_kernels.hpp loops.
 //
-// The cost-replay invariant extends to this engine: every CorrelationResult
-// field — cost included — is byte-identical to the scalar algorithm run
-// with the same MatchContext (and therefore, by the existing context parity
-// suite, to a cold scalar run).  The ports replicate the reference
-// algorithms' access counting at every observable point: bulk counts are
-// only substituted between probe/exhaustion polls, and early-out paths
-// (try_advance's reject-before-later-bits, the DFS bound checks) keep the
-// reference evaluation order.  tests/batch_kernel_test.cpp and the
-// batch_parity fuzz oracle pin this for all five algorithms.
+// This is the only engine that decodes over a MatchContext; the scalar
+// run_* correlators always match cold.  The cost-replay invariant spans
+// the two: every CorrelationResult field — cost included — is
+// byte-identical to the cold scalar run of the same algorithm.  The ports
+// replicate the reference algorithms' access counting at every observable
+// point: bulk counts are only substituted between probe/exhaustion polls,
+// and early-out paths (try_advance's reject-before-later-bits, the DFS
+// bound checks) keep the reference evaluation order.
+// tests/batch_kernel_test.cpp and the batch_parity fuzz oracle pin this for
+// all five algorithms.
 
 #pragma once
 
@@ -183,7 +184,7 @@ class BatchDecoder {
   /// Decodes one hypothesis with the given algorithm.  `context` must have
   /// been built for the pair being decoded (its flows and key are the
   /// single source of truth — there is no separate flow argument to
-  /// mismatch).  Byte-identical to the scalar run_* with the same context.
+  /// mismatch).  Byte-identical to the cold scalar run_* on that pair.
   CorrelationResult decode_one(Algorithm algorithm,
                                const MatchContext& context,
                                const DecodeHypothesis& hypothesis);

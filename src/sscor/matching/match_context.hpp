@@ -19,11 +19,12 @@
 //   * the *recorded access-trace counts* of the build and prune phases.
 //
 // The recorded counts are the heart of the cost-replay invariant (see
-// DESIGN.md "Match-context sharing and the cost-replay invariant"): an
-// algorithm consuming the context charges its own CostMeter exactly the
-// recorded counts, so the paper's reported packet-access metric is
-// byte-identical whether the matching phase ran cold or was replayed from
-// the cache.  The parity tests pin this down for every algorithm.
+// DESIGN.md "Match-context sharing and the cost-replay invariant"): the
+// batched decode engine (batch::BatchDecoder), the context's one consumer,
+// charges its own CostMeter exactly the recorded counts, so the paper's
+// reported packet-access metric is byte-identical whether the matching
+// phase ran cold (the scalar run_* correlators) or was replayed from the
+// cache.  The parity tests pin this down for every algorithm.
 //
 // Lifetime: the context stores views into the two flows, which must outlive
 // it.  A context is keyed by (upstream, downstream, Delta, size constraint);

@@ -41,6 +41,33 @@ const char* to_string(VerdictKind kind) {
   return "?";
 }
 
+namespace {
+
+/// The per-kind verdict counter, registered on that kind's first verdict
+/// and held afterwards, so a verdict costs no registry lookup.
+template <VerdictKind kKind>
+metrics::Counter& verdict_counter() {
+  static metrics::Counter& counter =
+      metrics::counter(std::string("stream.verdicts.") + to_string(kKind));
+  return counter;
+}
+
+metrics::Counter& verdict_counter(VerdictKind kind) {
+  switch (kind) {
+    case VerdictKind::kPositive:
+      return verdict_counter<VerdictKind::kPositive>();
+    case VerdictKind::kNegative:
+      return verdict_counter<VerdictKind::kNegative>();
+    case VerdictKind::kEvicted:
+      return verdict_counter<VerdictKind::kEvicted>();
+    case VerdictKind::kDegraded:
+      return verdict_counter<VerdictKind::kDegraded>();
+  }
+  throw InternalError("unhandled verdict kind");
+}
+
+}  // namespace
+
 /// Per-flow engine state: one shared packet buffer feeding one incremental
 /// decoder per upstream, plus verdicts held back until the flow clears the
 /// min_packets filter.
@@ -83,7 +110,9 @@ StreamEngine::~StreamEngine() = default;
 void StreamEngine::ingest(const StreamPacket& packet) {
   require(!finished_, "ingest after finish()");
   const std::uint64_t seq = next_seq_++;
-  metrics::counter("stream.packets.ingested").add();
+  static metrics::Counter& ingested =
+      metrics::counter("stream.packets.ingested");
+  ingested.add();
   const std::size_t shard = table_.shard_of(packet.tuple);
   shards_[shard]->pending.emplace_back(seq, packet);
   ++pending_total_;
@@ -352,14 +381,17 @@ void StreamEngine::route(std::size_t shard, std::uint64_t seq,
     flush_held(shard, *state);
   }
   if (entry->tombstone) {
-    metrics::counter("stream.packets.late").add();
+    static metrics::Counter& late = metrics::counter("stream.packets.late");
+    late.add();
     return;
   }
   if (!state->buffer->empty() &&
       packet.packet.timestamp < state->buffer->last_timestamp()) {
     // A live source broke the per-flow FIFO assumption; dropping the
     // packet keeps the daemon up (sorted replay sources never hit this).
-    metrics::counter("stream.packets.out_of_order").add();
+    static metrics::Counter& out_of_order =
+        metrics::counter("stream.packets.out_of_order");
+    out_of_order.add();
     return;
   }
   state->buffer->append(packet.packet);
@@ -533,11 +565,14 @@ void StreamEngine::finalize_shard(std::size_t shard) {
 
 void StreamEngine::record_verdict_metrics(std::size_t shard,
                                           const StreamVerdict& verdict) {
-  metrics::counter(std::string("stream.verdicts.") + to_string(verdict.kind))
-      .add();
-  if (verdict.early) metrics::counter("stream.verdicts.early").add();
-  metrics::histogram("stream.verdict.packets_seen")
-      .record(verdict.packets_seen);
+  verdict_counter(verdict.kind).add();
+  if (verdict.early) {
+    static metrics::Counter& early = metrics::counter("stream.verdicts.early");
+    early.add();
+  }
+  static metrics::Histogram& packets_seen =
+      metrics::histogram("stream.verdict.packets_seen");
+  packets_seen.record(verdict.packets_seen);
   ShardState& state = *shards_[shard];
   ++state.verdicts_emitted;
   ++state.tally_by_kind[static_cast<int>(verdict.kind)];

@@ -11,6 +11,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sscor {
 
@@ -47,21 +48,37 @@ class Cancelled : public Error {
   using Error::Error;
 };
 
-/// Throws InvalidArgument with `what` unless `condition` holds.
-inline void require(bool condition, const std::string& what,
+namespace detail {
+
+/// "<function>: <prefix><what>", built only once a check has failed.
+inline std::string failure_message(const std::source_location& loc,
+                                   std::string_view prefix,
+                                   std::string_view what) {
+  std::string message(loc.function_name());
+  message += ": ";
+  message += prefix;
+  message += what;
+  return message;
+}
+
+}  // namespace detail
+
+/// Throws InvalidArgument with `what` unless `condition` holds.  `what` is
+/// a view, so a passing check on a hot path allocates nothing.
+inline void require(bool condition, std::string_view what,
                     std::source_location loc = std::source_location::current()) {
   if (!condition) {
-    throw InvalidArgument(std::string(loc.function_name()) + ": " + what);
+    throw InvalidArgument(detail::failure_message(loc, "", what));
   }
 }
 
 /// Throws InternalError with `what` unless `condition` holds.
 inline void check_invariant(
-    bool condition, const std::string& what,
+    bool condition, std::string_view what,
     std::source_location loc = std::source_location::current()) {
   if (!condition) {
-    throw InternalError(std::string(loc.function_name()) +
-                        ": invariant violated: " + what);
+    throw InternalError(
+        detail::failure_message(loc, "invariant violated: ", what));
   }
 }
 

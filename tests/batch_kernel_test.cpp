@@ -3,138 +3,24 @@
 // The load-bearing property: for every algorithm, a BatchDecoder decode over
 // a shared MatchContext returns a CorrelationResult identical *in every
 // field, including the paper's cost metric and the interruption fields* to
-// the scalar run_* reference with the same context (and therefore, by the
-// match-context parity suite, to a cold scalar run).  The batched engine is
-// pure plumbing: SoA layout and kernel dispatch must never change a number.
+// the cold scalar run_* reference — and Correlator::correlate returns that
+// same result whether or not it is handed a context.  The batched engine is
+// pure plumbing: SoA layout and context reuse must never change a number.
 
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sscor/correlation/brute_force.hpp"
-#include "sscor/correlation/decode_plan.hpp"
-#include "sscor/correlation/greedy.hpp"
-#include "sscor/correlation/greedy_plus.hpp"
-#include "sscor/correlation/greedy_star.hpp"
-#include "sscor/correlation/robust.hpp"
-#include "sscor/matching/batch_kernel.hpp"
-#include "sscor/matching/batch_kernels.hpp"
-#include "sscor/matching/match_context.hpp"
-#include "sscor/traffic/chaff.hpp"
-#include "sscor/traffic/interactive_model.hpp"
+#include "small_instance.hpp"
 #include "sscor/traffic/loss_model.hpp"
-#include "sscor/traffic/perturbation.hpp"
-#include "sscor/traffic/size_model.hpp"
-#include "sscor/correlation/correlator.hpp"
 #include "sscor/util/error.hpp"
-#include "sscor/util/rng.hpp"
-#include "sscor/watermark/embedder.hpp"
+#include "sscor/util/journal.hpp"
 #include "sscor/watermark/quantization.hpp"
 
 namespace sscor {
 namespace {
-
-/// Stricter than the match-context suite: the batched port must also agree
-/// on the interruption fields, not just the headline decode.
-void expect_same_result(const CorrelationResult& scalar,
-                        const CorrelationResult& batched) {
-  EXPECT_EQ(scalar.algorithm, batched.algorithm);
-  EXPECT_EQ(scalar.correlated, batched.correlated);
-  EXPECT_EQ(scalar.hamming, batched.hamming);
-  EXPECT_EQ(scalar.best_watermark, batched.best_watermark);
-  EXPECT_EQ(scalar.cost, batched.cost) << "cost-replay invariant violated";
-  EXPECT_EQ(scalar.matching_complete, batched.matching_complete);
-  EXPECT_EQ(scalar.cost_bound_hit, batched.cost_bound_hit);
-  EXPECT_EQ(scalar.interrupted, batched.interrupted);
-  EXPECT_EQ(scalar.stop_reason, batched.stop_reason);
-  EXPECT_EQ(scalar.degraded, batched.degraded);
-}
-
-/// Runs every algorithm through both engines over one shared context.
-/// Brute force is opt-in (exponential on larger instances).
-void check_batch_parity(const WatermarkedFlow& marked, const Flow& downstream,
-                        const CorrelatorConfig& config,
-                        bool include_brute = true) {
-  const MatchContext context =
-      MatchContext::build(marked.flow, downstream, config.max_delay,
-                          config.size_constraint);
-  batch::BatchDecoder decoder(config);
-  const batch::DecodeHypothesis hyp{&marked.schedule, &marked.watermark};
-
-  expect_same_result(
-      run_greedy_plus(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config, &context),
-      decoder.decode_one(Algorithm::kGreedyPlus, context, hyp));
-  expect_same_result(
-      run_greedy_star(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config, &context),
-      decoder.decode_one(Algorithm::kGreedyStar, context, hyp));
-  {
-    const DecodePlan plan(marked.schedule, marked.watermark);
-    expect_same_result(
-        run_greedy(plan, marked.flow, downstream, config, &context),
-        decoder.decode_one(Algorithm::kGreedy, context, hyp));
-  }
-  for (const double fraction : {0.05, 0.3}) {
-    RobustOptions options;
-    options.max_unmatched_fraction = fraction;
-    expect_same_result(
-        run_greedy_plus_robust(marked.schedule, marked.watermark, marked.flow,
-                               downstream, config, options, &context),
-        decoder.robust(context, hyp, options));
-  }
-  if (include_brute) {
-    expect_same_result(
-        run_brute_force(marked.schedule, marked.watermark, marked.flow,
-                        downstream, config, {}, &context),
-        decoder.decode_one(Algorithm::kBruteForce, context, hyp));
-    for (const bool prune : {true, false}) {
-      BruteForceOptions options;
-      options.prune = prune;
-      expect_same_result(
-          run_brute_force(marked.schedule, marked.watermark, marked.flow,
-                          downstream, config, options, &context),
-          decoder.brute_force(context, hyp, options));
-    }
-  }
-}
-
-WatermarkParams small_params() {
-  WatermarkParams params;
-  params.bits = 4;
-  params.redundancy = 1;
-  params.pair_offset = 1;
-  params.embedding_delay = seconds(std::int64_t{2});
-  return params;
-}
-
-struct SmallInstance {
-  WatermarkedFlow marked;
-  Flow downstream;
-};
-
-SmallInstance make_small_instance(std::uint64_t seed, double chaff_rate,
-                                  DurationUs delta) {
-  const traffic::PoissonFlowModel model(0.5);
-  const Flow flow = model.generate(20, 0, mix_seeds(seed, 1));
-  Rng rng(mix_seeds(seed, 2));
-  const Watermark wm = Watermark::random(small_params().bits, rng);
-  const Embedder embedder(small_params(), mix_seeds(seed, 3));
-  SmallInstance instance{embedder.embed(flow, wm), Flow{}};
-  const traffic::UniformPerturber perturber(delta, mix_seeds(seed, 4));
-  const traffic::PoissonChaffInjector chaff(chaff_rate, mix_seeds(seed, 5));
-  instance.downstream = chaff.apply(perturber.apply(instance.marked.flow));
-  return instance;
-}
-
-CorrelatorConfig small_config() {
-  CorrelatorConfig config;
-  config.max_delay = seconds(std::int64_t{1});
-  config.hamming_threshold = 1;
-  config.cost_bound = 200'000'000;
-  return config;
-}
 
 TEST(BatchKernelParity, AllAlgorithmsOnSmallInstances) {
   for (const std::uint64_t seed : {110u, 111u, 112u, 113u, 114u, 115u}) {
@@ -210,7 +96,7 @@ TEST(BatchKernelParity, DegenerateDownstreams) {
 
 TEST(BatchKernelParity, WrongKeyHypotheses) {
   // One context serves every (schedule, watermark) hypothesis; the batch
-  // engine must agree with the scalar runners on each, matches or not.
+  // engine must agree with the cold scalar runners on each, matches or not.
   const auto instance =
       make_small_instance(181, 0.5, seconds(std::int64_t{1}));
   const auto config = small_config();
@@ -227,11 +113,11 @@ TEST(BatchKernelParity, WrongKeyHypotheses) {
     const batch::DecodeHypothesis hyp{&schedule, &target};
     expect_same_result(
         run_greedy_plus(schedule, target, instance.marked.flow,
-                        instance.downstream, config, &context),
+                        instance.downstream, config),
         decoder.decode_one(Algorithm::kGreedyPlus, context, hyp));
     expect_same_result(
         run_greedy_star(schedule, target, instance.marked.flow,
-                        instance.downstream, config, &context),
+                        instance.downstream, config),
         decoder.decode_one(Algorithm::kGreedyStar, context, hyp));
   }
 }
@@ -309,33 +195,6 @@ TEST(BatchKernelParity, WorkspaceReuseAcrossPairs) {
   }
 }
 
-TEST(BatchKernelParity, KernelModesAgree) {
-  // The vectorized and scalar kernel variants perform identical integer
-  // arithmetic; flipping the dispatch must not change any field.
-  const auto saved = batch::kernel_mode();
-  const auto instance =
-      make_small_instance(211, 1.0, seconds(std::int64_t{1}));
-  const auto config = small_config();
-  const MatchContext context =
-      MatchContext::build(instance.marked.flow, instance.downstream,
-                          config.max_delay, config.size_constraint);
-  const batch::DecodeHypothesis hyp{&instance.marked.schedule,
-                                    &instance.marked.watermark};
-  for (const Algorithm algorithm :
-       {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar,
-        Algorithm::kBruteForce}) {
-    SCOPED_TRACE(to_string(algorithm));
-    batch::set_kernel_mode(batch::KernelMode::kScalar);
-    batch::BatchDecoder scalar_decoder(config);
-    const auto scalar = scalar_decoder.decode_one(algorithm, context, hyp);
-    batch::set_kernel_mode(batch::KernelMode::kVectorized);
-    batch::BatchDecoder vector_decoder(config);
-    const auto vectorized = vector_decoder.decode_one(algorithm, context, hyp);
-    expect_same_result(scalar, vectorized);
-  }
-  batch::set_kernel_mode(saved);
-}
-
 TEST(BatchKernelParity, TcplibPaperScale) {
   // Paper-scale parameters over the tcplib-style generator (brute force
   // excluded: exponential).
@@ -351,6 +210,155 @@ TEST(BatchKernelParity, TcplibPaperScale) {
 
   CorrelatorConfig config;  // defaults: Delta=7s, h=7, bound=10^6
   check_batch_parity(marked, downstream, config, /*include_brute=*/false);
+}
+
+/// One result rendered field by field, `cost` included, for the golden pin.
+std::string render_result(const CorrelationResult& r) {
+  std::string out = std::to_string(static_cast<int>(r.algorithm)) + ',' +
+                    std::to_string(r.correlated) + ',' +
+                    std::to_string(r.hamming) + ',' +
+                    r.best_watermark.to_string() + ',' +
+                    std::to_string(r.cost) + ',' +
+                    std::to_string(r.matching_complete) + ',' +
+                    std::to_string(r.cost_bound_hit) + ',' +
+                    std::to_string(r.interrupted) + ',' +
+                    std::to_string(static_cast<int>(r.stop_reason)) + ',' +
+                    std::to_string(r.degraded) + ';';
+  return out;
+}
+
+struct GoldenCase {
+  std::string name;
+  WatermarkedFlow marked;
+  Flow downstream;
+  CorrelatorConfig config;
+  bool include_brute = true;
+};
+
+/// The parity suite's instances, rebuilt with the same seeds.
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+  const DurationUs delta = seconds(std::int64_t{1});
+  const auto add = [&](std::string name, const SmallInstance& instance,
+                       const CorrelatorConfig& config) {
+    cases.push_back({std::move(name), instance.marked, instance.downstream,
+                     config, true});
+  };
+  for (const std::uint64_t seed : {110u, 111u, 112u, 113u, 114u, 115u}) {
+    add("small-" + std::to_string(seed),
+        make_small_instance(seed, 0.5, delta), small_config());
+  }
+  for (const std::uint64_t seed : {120u, 121u, 122u}) {
+    add("chaff-" + std::to_string(seed),
+        make_small_instance(seed, 3.0, delta), small_config());
+  }
+  for (const std::uint64_t seed : {131u, 132u, 133u}) {
+    auto config = small_config();
+    config.size_constraint = SizeConstraint{16};
+    add("sized-" + std::to_string(seed),
+        make_small_instance(seed, 0.5, delta), config);
+  }
+  {
+    auto mixed = make_small_instance(141, 1.0, delta);
+    mixed.downstream = make_small_instance(142, 1.0, delta).downstream;
+    add("uncorrelated", mixed, small_config());
+  }
+  {
+    auto config = small_config();
+    config.cost_bound = 50;
+    add("tight-bound", make_small_instance(151, 2.0, delta), config);
+  }
+  for (const std::uint64_t seed : {161u, 162u, 163u}) {
+    auto instance = make_small_instance(seed, 1.0, delta);
+    const traffic::LossRepacketizationModel loss(0.15, 0, mix_seeds(seed, 9));
+    instance.downstream = loss.apply(instance.downstream);
+    add("loss-" + std::to_string(seed), instance, small_config());
+  }
+  {
+    auto instance = make_small_instance(171, 0.5, delta);
+    const TimeUs first = instance.downstream.timestamp(0);
+    instance.downstream = Flow{};
+    add("empty-down", instance, small_config());
+    instance.downstream = Flow::from_timestamps(std::vector<TimeUs>{first});
+    add("one-packet-down", instance, small_config());
+  }
+  {
+    const traffic::TcplibTelnetModel model;
+    const Flow flow = model.generate(400, 0, 271);
+    Rng rng(272);
+    const Embedder embedder(WatermarkParams{}, 273);
+    GoldenCase paper{"tcplib-paper-scale",
+                     embedder.embed(flow, Watermark::random(24, rng)), Flow{},
+                     CorrelatorConfig{}, false};
+    const traffic::UniformPerturber perturber(seconds(std::int64_t{7}), 274);
+    const traffic::PoissonChaffInjector chaff(5.0, 275);
+    paper.downstream = chaff.apply(perturber.apply(paper.marked.flow));
+    cases.push_back(std::move(paper));
+  }
+  return cases;
+}
+
+TEST(BatchKernelGolden, ResultsMatchPinnedHashes) {
+  // Parity tests compare two engines in one tree, so a change that moves
+  // both together passes them.  This pins the absolute results instead:
+  // every CorrelationResult field, cost included, hashed per instance over
+  // Correlator::correlate (all four algorithms, with and without a matching
+  // context) and the loss-robust runner.  The constants were recorded
+  // before the scalar cached-context path was removed and must never be
+  // re-pinned to absorb a behaviour change.
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"small-110", 0x50c9957d2c818321ull},
+      {"small-111", 0x82e23e4fcf304f53ull},
+      {"small-112", 0x3ea277a57e5b7ac1ull},
+      {"small-113", 0x224b5c6326d45259ull},
+      {"small-114", 0x5891b10ed7dd6531ull},
+      {"small-115", 0x3627b599a30c645dull},
+      {"chaff-120", 0x549fa35c1158b0d3ull},
+      {"chaff-121", 0xed4e0d6bb3a45585ull},
+      {"chaff-122", 0x14428cd3ffb3dc97ull},
+      {"sized-131", 0x21058f5858b603e7ull},
+      {"sized-132", 0xdff446efe9c58595ull},
+      {"sized-133", 0x20ef091afaf8d9ebull},
+      {"uncorrelated", 0x134aeb2927005d5eull},
+      {"tight-bound", 0x27740df7ace6fb15ull},
+      {"loss-161", 0x978af7ddb1e594dcull},
+      {"loss-162", 0x34d71b9fa0844b1ull},
+      {"loss-163", 0x70ba1d9412afe664ull},
+      {"empty-down", 0xbe51387343241063ull},
+      {"one-packet-down", 0x738fab44839e3f9full},
+      {"tcplib-paper-scale", 0x39154ee6b965179ull},
+  };
+  const auto cases = golden_cases();
+  ASSERT_EQ(cases.size(), pinned.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const GoldenCase& c = cases[i];
+    SCOPED_TRACE(c.name);
+    const MatchContext context =
+        MatchContext::build(c.marked.flow, c.downstream, c.config.max_delay,
+                            c.config.size_constraint);
+    std::string rendered;
+    for (const Algorithm algorithm :
+         {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar,
+          Algorithm::kBruteForce}) {
+      if (algorithm == Algorithm::kBruteForce && !c.include_brute) continue;
+      const Correlator correlator(c.config, algorithm);
+      rendered += render_result(correlator.correlate(c.marked, c.downstream));
+      rendered += render_result(
+          correlator.correlate(c.marked, c.downstream, &context));
+    }
+    for (const double fraction : {0.05, 0.3}) {
+      RobustOptions options;
+      options.max_unmatched_fraction = fraction;
+      rendered += render_result(
+          run_greedy_plus_robust(c.marked.schedule, c.marked.watermark,
+                                 c.marked.flow, c.downstream, c.config,
+                                 options));
+    }
+    EXPECT_EQ(pinned[i].first, c.name);
+    EXPECT_EQ(pinned[i].second, journal::fnv1a64(rendered))
+        << "{\"" << c.name << "\", 0x" << std::hex << journal::fnv1a64(rendered)
+        << "ull},";
+  }
 }
 
 TEST(BatchKernelApi, RejectsMismatchedContextAndBadHypotheses) {
@@ -391,42 +399,6 @@ TEST(BatchKernelApi, RejectsMismatchedContextAndBadHypotheses) {
   auto zero_bound = config;
   zero_bound.cost_bound = 0;
   EXPECT_THROW(batch::BatchDecoder{zero_bound}, InvalidArgument);
-}
-
-TEST(BatchKernelIntegration, CorrelatePreparedMatchesCorrelate) {
-  // The public batched entry point, with and without a caller-prebuilt
-  // SoaPlan, against the classic scalar path.
-  const auto instance =
-      make_small_instance(241, 1.0, seconds(std::int64_t{1}));
-  const auto config = small_config();
-  const MatchContext context =
-      MatchContext::build(instance.marked.flow, instance.downstream,
-                          config.max_delay, config.size_constraint);
-  batch::SoaPlan plan;
-  plan.build(instance.marked.schedule, instance.marked.watermark);
-  for (const Algorithm algorithm :
-       {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar,
-        Algorithm::kBruteForce}) {
-    SCOPED_TRACE(to_string(algorithm));
-    const Correlator correlator(config, algorithm);
-    const auto scalar =
-        correlator.correlate(instance.marked, instance.downstream);
-    expect_same_result(scalar,
-                       correlator.correlate_prepared(
-                           instance.marked, instance.downstream, context));
-    expect_same_result(
-        scalar, correlator.correlate_prepared(instance.marked,
-                                              instance.downstream, context,
-                                              &plan));
-  }
-
-  // A context for another pair falls back to the cold scalar path instead
-  // of decoding against the wrong candidate sets.
-  const auto other = make_small_instance(242, 1.0, seconds(std::int64_t{1}));
-  const Correlator correlator(config, Algorithm::kGreedyPlus);
-  expect_same_result(correlator.correlate(other.marked, other.downstream),
-                     correlator.correlate_prepared(other.marked,
-                                                   other.downstream, context));
 }
 
 TEST(BatchKernelIntegration, CorrelateHypothesesMatchesPerHypothesisRuns) {

@@ -12,53 +12,12 @@
 #include <algorithm>
 #include <memory>
 
-#include "sscor/correlation/brute_force.hpp"
-#include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/decode_plan.hpp"
-#include "sscor/correlation/greedy.hpp"
-#include "sscor/correlation/greedy_plus.hpp"
-#include "sscor/correlation/greedy_star.hpp"
+#include "small_instance.hpp"
 #include "sscor/correlation/online.hpp"
 #include "sscor/correlation/selection.hpp"
-#include "sscor/traffic/chaff.hpp"
-#include "sscor/traffic/interactive_model.hpp"
-#include "sscor/traffic/perturbation.hpp"
-#include "sscor/watermark/embedder.hpp"
 
 namespace sscor {
 namespace {
-
-WatermarkParams small_params() {
-  WatermarkParams params;
-  params.bits = 4;
-  params.redundancy = 1;  // 8 pairs -> 16 relevant packets
-  params.pair_offset = 1;
-  // Large relative to the 0.5 pkt/s test flows so the embedding is nearly
-  // error-free even at redundancy 1.
-  params.embedding_delay = seconds(std::int64_t{2});
-  return params;
-}
-
-/// A small correlated instance: watermarked Poisson flow, perturbed and
-/// chaffed, with matching sets small enough for Brute Force.
-struct SmallInstance {
-  WatermarkedFlow marked;
-  Flow downstream;
-};
-
-SmallInstance make_small_instance(std::uint64_t seed, double chaff_rate,
-                                  DurationUs delta) {
-  const traffic::PoissonFlowModel model(0.5);
-  const Flow flow = model.generate(20, 0, mix_seeds(seed, 1));
-  Rng rng(mix_seeds(seed, 2));
-  const Watermark wm = Watermark::random(small_params().bits, rng);
-  const Embedder embedder(small_params(), mix_seeds(seed, 3));
-  SmallInstance instance{embedder.embed(flow, wm), Flow{}};
-  const traffic::UniformPerturber perturber(delta, mix_seeds(seed, 4));
-  const traffic::PoissonChaffInjector chaff(chaff_rate, mix_seeds(seed, 5));
-  instance.downstream = chaff.apply(perturber.apply(instance.marked.flow));
-  return instance;
-}
 
 TEST(DecodePlan, SlotsSortedUniqueAndConsistent) {
   const auto params = small_params();

@@ -1,10 +1,9 @@
 // Tests for the shared MatchContext and its cost-replay invariant.
 //
-// The load-bearing property: for every algorithm that consumes a context
-// (Greedy+, Greedy*, Brute Force, the robust variant — and Greedy, which
-// validates but ignores it), a run with a precomputed MatchContext returns
-// a CorrelationResult identical *in every field, including the paper's
-// cost metric* to a cold run.  The fig07-fig10 cost CSVs therefore cannot
+// The load-bearing property: a decode over a precomputed MatchContext
+// (Correlator::correlate's batched route) returns a CorrelationResult
+// identical *in every field, including the paper's cost metric* to a cold
+// run for every algorithm.  The fig07-fig10 cost CSVs therefore cannot
 // drift depending on whether the evaluation pipeline shared contexts.
 
 #include <gtest/gtest.h>
@@ -12,37 +11,13 @@
 #include <optional>
 #include <vector>
 
-#include "sscor/correlation/brute_force.hpp"
-#include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/decode_plan.hpp"
-#include "sscor/correlation/greedy.hpp"
-#include "sscor/correlation/greedy_plus.hpp"
-#include "sscor/correlation/greedy_star.hpp"
-#include "sscor/correlation/robust.hpp"
+#include "small_instance.hpp"
 #include "sscor/flow/flow_extractor.hpp"
 #include "sscor/flow/pcap_synth.hpp"
-#include "sscor/matching/match_context.hpp"
-#include "sscor/traffic/chaff.hpp"
-#include "sscor/traffic/interactive_model.hpp"
-#include "sscor/traffic/perturbation.hpp"
 #include "sscor/traffic/size_model.hpp"
-#include "sscor/util/error.hpp"
-#include "sscor/util/rng.hpp"
-#include "sscor/watermark/embedder.hpp"
 
 namespace sscor {
 namespace {
-
-void expect_same_result(const CorrelationResult& cold,
-                        const CorrelationResult& cached) {
-  EXPECT_EQ(cold.algorithm, cached.algorithm);
-  EXPECT_EQ(cold.correlated, cached.correlated);
-  EXPECT_EQ(cold.hamming, cached.hamming);
-  EXPECT_EQ(cold.best_watermark, cached.best_watermark);
-  EXPECT_EQ(cold.cost, cached.cost) << "cost-replay invariant violated";
-  EXPECT_EQ(cold.matching_complete, cached.matching_complete);
-  EXPECT_EQ(cold.cost_bound_hit, cached.cost_bound_hit);
-}
 
 void expect_same_sets(const CandidateSets& a, const CandidateSets& b) {
   ASSERT_EQ(a.upstream_size(), b.upstream_size());
@@ -56,98 +31,13 @@ void expect_same_sets(const CandidateSets& a, const CandidateSets& b) {
   }
 }
 
-/// Runs all five algorithms cold and with a freshly built context and
-/// checks field-identical results.
-void check_parity(const WatermarkedFlow& marked, const Flow& downstream,
-                  const CorrelatorConfig& config) {
-  const MatchContext context =
-      MatchContext::build(marked.flow, downstream, config.max_delay,
-                          config.size_constraint);
-
-  expect_same_result(
-      run_greedy_plus(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config),
-      run_greedy_plus(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config, &context));
-  expect_same_result(
-      run_greedy_star(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config),
-      run_greedy_star(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config, &context));
-  expect_same_result(
-      run_greedy_plus_robust(marked.schedule, marked.watermark, marked.flow,
-                             downstream, config),
-      run_greedy_plus_robust(marked.schedule, marked.watermark, marked.flow,
-                             downstream, config, {}, &context));
-
-  const DecodePlan plan(marked.schedule, marked.watermark);
-  expect_same_result(
-      run_greedy(plan, marked.flow, downstream, config),
-      run_greedy(plan, marked.flow, downstream, config, &context));
-}
-
-/// Brute force is feasible only on the small instances; checked separately
-/// with pruning both on and off.
-void check_brute_parity(const WatermarkedFlow& marked, const Flow& downstream,
-                        const CorrelatorConfig& config) {
-  const MatchContext context =
-      MatchContext::build(marked.flow, downstream, config.max_delay,
-                          config.size_constraint);
-  for (const bool prune : {true, false}) {
-    BruteForceOptions options;
-    options.prune = prune;
-    expect_same_result(
-        run_brute_force(marked.schedule, marked.watermark, marked.flow,
-                        downstream, config, options),
-        run_brute_force(marked.schedule, marked.watermark, marked.flow,
-                        downstream, config, options, &context));
-  }
-}
-
-WatermarkParams small_params() {
-  WatermarkParams params;
-  params.bits = 4;
-  params.redundancy = 1;
-  params.pair_offset = 1;
-  params.embedding_delay = seconds(std::int64_t{2});
-  return params;
-}
-
-struct SmallInstance {
-  WatermarkedFlow marked;
-  Flow downstream;
-};
-
-SmallInstance make_small_instance(std::uint64_t seed, double chaff_rate,
-                                  DurationUs delta) {
-  const traffic::PoissonFlowModel model(0.5);
-  const Flow flow = model.generate(20, 0, mix_seeds(seed, 1));
-  Rng rng(mix_seeds(seed, 2));
-  const Watermark wm = Watermark::random(small_params().bits, rng);
-  const Embedder embedder(small_params(), mix_seeds(seed, 3));
-  SmallInstance instance{embedder.embed(flow, wm), Flow{}};
-  const traffic::UniformPerturber perturber(delta, mix_seeds(seed, 4));
-  const traffic::PoissonChaffInjector chaff(chaff_rate, mix_seeds(seed, 5));
-  instance.downstream = chaff.apply(perturber.apply(instance.marked.flow));
-  return instance;
-}
-
-CorrelatorConfig small_config() {
-  CorrelatorConfig config;
-  config.max_delay = seconds(std::int64_t{1});
-  config.hamming_threshold = 1;
-  config.cost_bound = 200'000'000;
-  return config;
-}
-
 TEST(MatchContextParity, AllAlgorithmsOnSmallInstances) {
   for (const std::uint64_t seed : {10u, 11u, 12u, 13u, 14u, 15u}) {
     SCOPED_TRACE(seed);
     const auto instance =
         make_small_instance(seed, 0.5, seconds(std::int64_t{1}));
     const auto config = small_config();
-    check_parity(instance.marked, instance.downstream, config);
-    check_brute_parity(instance.marked, instance.downstream, config);
+    check_batch_parity(instance.marked, instance.downstream, config);
   }
 }
 
@@ -157,8 +47,7 @@ TEST(MatchContextParity, UncorrelatedPairsRejectIdentically) {
   const auto a = make_small_instance(21, 1.0, seconds(std::int64_t{1}));
   const auto b = make_small_instance(22, 1.0, seconds(std::int64_t{1}));
   const auto config = small_config();
-  check_parity(a.marked, b.downstream, config);
-  check_brute_parity(a.marked, b.downstream, config);
+  check_batch_parity(a.marked, b.downstream, config);
 }
 
 TEST(MatchContextParity, SizeConstraint) {
@@ -168,8 +57,7 @@ TEST(MatchContextParity, SizeConstraint) {
         make_small_instance(seed, 0.5, seconds(std::int64_t{1}));
     auto config = small_config();
     config.size_constraint = SizeConstraint{16};
-    check_parity(instance.marked, instance.downstream, config);
-    check_brute_parity(instance.marked, instance.downstream, config);
+    check_batch_parity(instance.marked, instance.downstream, config);
   }
 }
 
@@ -179,8 +67,7 @@ TEST(MatchContextParity, TightCostBound) {
   const auto instance = make_small_instance(41, 2.0, seconds(std::int64_t{1}));
   auto config = small_config();
   config.cost_bound = 50;
-  check_parity(instance.marked, instance.downstream, config);
-  check_brute_parity(instance.marked, instance.downstream, config);
+  check_batch_parity(instance.marked, instance.downstream, config);
 }
 
 TEST(MatchContextParity, TcplibFlows) {
@@ -197,7 +84,7 @@ TEST(MatchContextParity, TcplibFlows) {
   const Flow downstream = chaff.apply(perturber.apply(marked.flow));
 
   CorrelatorConfig config;  // defaults: Delta=7s, h=7, bound=10^6
-  check_parity(marked, downstream, config);
+  check_batch_parity(marked, downstream, config, /*include_brute=*/false);
 }
 
 TEST(MatchContextParity, RecordedTraceRoundTrip) {
@@ -229,8 +116,7 @@ TEST(MatchContextParity, RecordedTraceRoundTrip) {
   const WatermarkedFlow extracted{up, instance.marked.schedule,
                                   instance.marked.watermark};
   const auto config = small_config();
-  check_parity(extracted, down, config);
-  check_brute_parity(extracted, down, config);
+  check_batch_parity(extracted, down, config);
 }
 
 TEST(MatchContextReuse, AcrossWatermarkHypotheses) {
@@ -241,22 +127,22 @@ TEST(MatchContextReuse, AcrossWatermarkHypotheses) {
   const MatchContext context =
       MatchContext::build(instance.marked.flow, instance.downstream,
                           config.max_delay, config.size_constraint);
+  batch::BatchDecoder decoder(config);
   Rng rng(62);
   for (std::uint64_t key = 900; key < 904; ++key) {
     SCOPED_TRACE(key);
     const auto schedule = KeySchedule::create(
         small_params(), instance.marked.flow.size(), key);
     const Watermark hypothesis = Watermark::random(small_params().bits, rng);
+    const batch::DecodeHypothesis hyp{&schedule, &hypothesis};
     expect_same_result(
         run_greedy_plus(schedule, hypothesis, instance.marked.flow,
                         instance.downstream, config),
-        run_greedy_plus(schedule, hypothesis, instance.marked.flow,
-                        instance.downstream, config, &context));
+        decoder.decode_one(Algorithm::kGreedyPlus, context, hyp));
     expect_same_result(
         run_greedy_star(schedule, hypothesis, instance.marked.flow,
                         instance.downstream, config),
-        run_greedy_star(schedule, hypothesis, instance.marked.flow,
-                        instance.downstream, config, &context));
+        decoder.decode_one(Algorithm::kGreedyStar, context, hyp));
   }
 }
 
@@ -340,48 +226,27 @@ TEST(MatchContextApi, MatchesChecksPairIdentityAndKey) {
 
 TEST(MatchContextApi, CorrelatorFallsBackOnMismatchedContext) {
   // A context for the wrong pair is silently dropped by the high-level
-  // Correlator: the result equals a cold run on the actual pair.
+  // Correlator, prebuilt plan and all: the result equals a cold run on the
+  // actual pair.
   const auto a = make_small_instance(93, 0.5, seconds(std::int64_t{1}));
   const auto b = make_small_instance(94, 0.5, seconds(std::int64_t{1}));
   const auto config = small_config();
   const MatchContext wrong =
       MatchContext::build(a.marked.flow, a.downstream, config.max_delay,
                           config.size_constraint);
+  batch::SoaPlan plan;
+  plan.build(a.marked.schedule, a.marked.watermark);
   for (const Algorithm algorithm :
        {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar,
         Algorithm::kBruteForce}) {
     SCOPED_TRACE(to_string(algorithm));
     const Correlator correlator(config, algorithm);
-    expect_same_result(correlator.correlate(a.marked, b.downstream),
+    const auto cold = correlator.correlate(a.marked, b.downstream);
+    expect_same_result(cold,
                        correlator.correlate(a.marked, b.downstream, &wrong));
+    expect_same_result(
+        cold, correlator.correlate(a.marked, b.downstream, &wrong, &plan));
   }
-}
-
-TEST(MatchContextApi, RunnersRejectMismatchedContext) {
-  // The low-level run_* entry points treat a mismatched context as a
-  // precondition violation instead of silently recomputing.
-  const auto a = make_small_instance(95, 0.5, seconds(std::int64_t{1}));
-  const auto b = make_small_instance(96, 0.5, seconds(std::int64_t{1}));
-  const auto config = small_config();
-  const MatchContext wrong =
-      MatchContext::build(a.marked.flow, a.downstream, config.max_delay,
-                          config.size_constraint);
-  const WatermarkedFlow& m = a.marked;
-  EXPECT_THROW(run_greedy_plus(m.schedule, m.watermark, m.flow, b.downstream,
-                               config, &wrong),
-               InvalidArgument);
-  EXPECT_THROW(run_greedy_star(m.schedule, m.watermark, m.flow, b.downstream,
-                               config, &wrong),
-               InvalidArgument);
-  EXPECT_THROW(run_brute_force(m.schedule, m.watermark, m.flow, b.downstream,
-                               config, {}, &wrong),
-               InvalidArgument);
-  EXPECT_THROW(run_greedy_plus_robust(m.schedule, m.watermark, m.flow,
-                                      b.downstream, config, {}, &wrong),
-               InvalidArgument);
-  const DecodePlan plan(m.schedule, m.watermark);
-  EXPECT_THROW(run_greedy(plan, m.flow, b.downstream, config, &wrong),
-               InvalidArgument);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <fstream>
 #include <set>
+#include <source_location>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -516,13 +517,24 @@ TEST(Table, CellFormatting) {
 
 TEST(Error, RequireThrowsWithContext) {
   EXPECT_NO_THROW(require(true, "fine"));
+  // The checks take a string_view and build the message only on failure;
+  // the thrown text stays "<function>: <what>" byte for byte.
+  const std::source_location here = std::source_location::current();
   try {
-    require(false, "boom");
+    require(false, "ingest after finish()", here);
     FAIL() << "require(false) must throw";
   } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              std::string(here.function_name()) + ": ingest after finish()");
   }
-  EXPECT_THROW(check_invariant(false, "bug"), InternalError);
+  try {
+    check_invariant(false, "bug", here);
+    FAIL() << "check_invariant(false) must throw";
+  } catch (const InternalError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string(here.function_name()) + ": invariant violated: bug");
+  }
+  EXPECT_THROW(require(false, "boom " + std::to_string(7)), InvalidArgument);
 }
 
 }  // namespace

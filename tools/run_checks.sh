@@ -9,9 +9,10 @@
 #      multi-shard ingest stress (StreamStress) — which must report zero
 #      races;
 #   3. configure + build an ASan/UBSan tree
-#      (-DSSCOR_SANITIZE=address,undefined), run the match-context parity
-#      and parallel-determinism tests under it, and smoke-run the
-#      decode_cache bench with a tiny pair count;
+#      (-DSSCOR_SANITIZE=address,undefined), run the match-context and
+#      batch-kernel parity suites (cold scalar ≡ batched decode over a
+#      cached context) and the parallel-determinism tests under it, and
+#      smoke-run the decode_cache bench with a tiny pair count;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing);
@@ -33,11 +34,9 @@
 #      capture with --metrics-json/--trace-spans, both outputs validated
 #      with trace_check, plus a BENCH_stream.json throughput baseline;
 #   8. batched decode kernel: 600 batch_parity oracle iterations under
-#      ASan/UBSan (scalar vs batched SoA decode byte-identical for every
-#      correlator, cost included — DESIGN.md §13), a batch_decode bench
-#      smoke under the sanitized -DSSCOR_SIMD=ON tree, then a separate
-#      -DSSCOR_SIMD=OFF tree whose scalar-dispatch batch_kernel_test and
-#      batch_decode smoke must produce the same byte-identical results;
+#      ASan/UBSan (cold scalar vs batched SoA decode byte-identical for
+#      every correlator, cost included — DESIGN.md §13) and a batch_decode
+#      bench smoke under the sanitized tree;
 #   9. live ops surface: run `sscor_tool watch --stats-addr 127.0.0.1:0
 #      --event-log`, scrape /metrics (strict Prometheus 0.0.4 validation
 #      via trace_check --prom --fetch), /statusz and /healthz (strict
@@ -67,14 +66,12 @@
 # yields a complete report.  Exit status is 0 iff every step passed.
 #
 # Usage: tools/run_checks.sh [build-dir] [tsan-build-dir] [asan-build-dir]
-#                            [scalar-build-dir]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 tsan_dir="${2:-$repo_root/build-tsan}"
 asan_dir="${3:-$repo_root/build-asan}"
-scalar_dir="${4:-$repo_root/build-scalar}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 step_1() {  # default build + full test suite
@@ -95,15 +92,15 @@ step_2() {  # ThreadSanitizer build + concurrency smoke tests
     -R 'TsanSmoke|ThreadPool|Parallel|Span|Histogram|DecodeTrace|StreamStress'
 }
 
-step_3() {  # ASan/UBSan build + match-context parity + bench smoke
+step_3() {  # ASan/UBSan build + cold-vs-cached parity + bench smoke
   cmake -B "$asan_dir" -S "$repo_root" \
     -DSSCOR_SANITIZE=address,undefined \
-    -DSSCOR_SIMD=ON \
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j "$jobs" \
-    --target match_context_test parallel_determinism_test decode_cache
+    --target match_context_test batch_kernel_test parallel_determinism_test \
+             decode_cache
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-    -R 'MatchContext|Parallel'
+    -R 'MatchContext|BatchKernel|Parallel'
   # 400 packets is near the smallest flow that still fits the default
   # 24-bit watermark (192 redundant bit pairs).
   "$asan_dir/bench/decode_cache" --pairs=3 --packets=400 --reps=1 \
@@ -207,30 +204,17 @@ step_7() {  # streaming smoke: parity fuzz + watch e2e + throughput baseline
     --json="$build_dir/BENCH_stream.json"
 }
 
-step_8() {  # batched decode kernel: parity fuzz + SIMD on/off bench smoke
+step_8() {  # batched decode kernel: parity fuzz + bench smoke
   cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz batch_decode
   # 600 batch_parity iterations under ASan/UBSan: every correlator's
   # batched SoA decode (and the multi-hypothesis entry point) must be
-  # byte-identical to the scalar path, the paper's cost metric included.
+  # byte-identical to the cold scalar run, the paper's cost metric included.
   "$asan_dir/tools/sscor_fuzz" --oracle batch_parity \
     --iterations 600 --seed 1 --artifacts "$asan_dir/batch-artifacts"
-  # Vectorized-dispatch smoke (the asan tree configures -DSSCOR_SIMD=ON):
   # batch_decode exits nonzero unless every batched CorrelationResult is
   # field-identical to the per-hypothesis scalar pass.
   "$asan_dir/bench/batch_decode" --pairs=2 --packets=400 --hypotheses=4 \
     --reps=1 --json="$asan_dir/BENCH_batch_decode.json"
-  # Scalar-dispatch tree: -DSSCOR_SIMD=OFF flips the default kernel
-  # dispatch to the reference variants; the parity suite and the bench's
-  # built-in identity check must still pass bit for bit.
-  cmake -B "$scalar_dir" -S "$repo_root" \
-    -DSSCOR_SIMD=OFF \
-    -DSSCOR_BUILD_EXAMPLES=OFF
-  cmake --build "$scalar_dir" -j "$jobs" \
-    --target batch_kernel_test batch_decode
-  ctest --test-dir "$scalar_dir" --output-on-failure -j "$jobs" \
-    -R 'BatchKernel'
-  "$scalar_dir/bench/batch_decode" --pairs=2 --packets=400 --hypotheses=4 \
-    --reps=1 --json="$scalar_dir/BENCH_batch_decode.json"
 }
 
 step_9() {  # live ops surface: stats endpoints + top + observer-only parity
@@ -450,12 +434,12 @@ step_11() {  # live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak
 step_names=(
   "default build + full test suite"
   "ThreadSanitizer build + concurrency smoke tests"
-  "ASan/UBSan build + match-context parity + bench smoke"
+  "ASan/UBSan build + cold-vs-cached parity + bench smoke"
   "trace smoke: end-to-end pipeline with --trace/--trace-spans"
   "differential fuzz smoke under ASan/UBSan"
   "chaos harness: seeded fault injection under ASan/UBSan"
   "streaming smoke: parity fuzz + watch e2e + throughput baseline"
-  "batched decode kernel: parity fuzz + SIMD on/off bench smoke"
+  "batched decode kernel: parity fuzz + bench smoke"
   "live ops surface: stats endpoints + top + observer-only parity"
   "cluster sweep: journal-merge fuzz + 4-shard kill/resume/merge"
   "live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak"
@@ -472,7 +456,6 @@ if [[ "${1:-}" == "--step" ]]; then
   build_dir="${1:-$repo_root/build}"
   tsan_dir="${2:-$repo_root/build-tsan}"
   asan_dir="${3:-$repo_root/build-asan}"
-  scalar_dir="${4:-$repo_root/build-scalar}"
   "step_${step_n}"
   exit 0
 fi
@@ -484,7 +467,7 @@ for n in 1 2 3 4 5 6 7 8 9 10 11; do
   limit="${step_timeouts[$((n - 1))]}"
   echo "== [$n/11] $name (timeout ${limit}s) =="
   if timeout --foreground --kill-after=30 "$limit" \
-    "$0" --step "$n" "$build_dir" "$tsan_dir" "$asan_dir" "$scalar_dir"; then
+    "$0" --step "$n" "$build_dir" "$tsan_dir" "$asan_dir"; then
     step_results+=("PASS  [$n/11] $name")
   else
     rc=$?
