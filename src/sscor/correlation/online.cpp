@@ -1,5 +1,7 @@
 #include "sscor/correlation/online.hpp"
 
+#include <algorithm>
+
 #include "sscor/util/error.hpp"
 #include "sscor/watermark/decoder.hpp"
 
@@ -16,9 +18,12 @@ bool requires_complete_matching(Algorithm algorithm) {
 OnlineUpstream::OnlineUpstream(WatermarkedFlow watermarked)
     : watermarked_(std::move(watermarked)),
       plan_(watermarked_.schedule, watermarked_.watermark) {
-  slot_of_.assign(watermarked_.flow.size(), kNoSlot);
-  for (std::uint32_t s = 0; s < plan_.slots().size(); ++s) {
-    slot_of_[plan_.slots()[s].up_index] = s;
+  bit_completed_by_.assign(watermarked_.flow.size(), kNoBit);
+  for (std::uint32_t bit = 0; bit < plan_.bit_count(); ++bit) {
+    const auto slots = plan_.bit_slots(bit);
+    if (slots.empty()) continue;
+    // bit_slots() is in increasing upstream order: the last one closes last.
+    bit_completed_by_[plan_.slots()[slots.back()].up_index] = bit;
   }
   soa_plan_.build(watermarked_.schedule, watermarked_.watermark);
 }
@@ -44,10 +49,6 @@ OnlineCorrelator::OnlineCorrelator(
       options_(options),
       up_ts_(upstream_->timestamps()) {
   require(config.max_delay >= 0, "max delay must be non-negative");
-  windows_.resize(up_ts_.size());
-  window_final_.assign(up_ts_.size(), false);
-  final_slots_per_bit_.assign(upstream_->plan().bit_count(), 0);
-  bit_checked_.assign(upstream_->plan().bit_count(), false);
 }
 
 bool OnlineCorrelator::ingest(const PacketRecord& packet) {
@@ -63,38 +64,33 @@ bool OnlineCorrelator::ingest(const PacketRecord& packet) {
 bool OnlineCorrelator::ingest_appended() {
   require(!finished_, "ingest after finish()");
   if (decided()) return false;
-  while (next_index_ < downstream_->size()) {
-    const std::uint32_t j = next_index_++;
-    process(j, downstream_->packet(j));
+  const auto packets = downstream_->packets();
+  while (next_index_ < packets.size()) {
+    // Packets at or before the deadline close no window: jump past them.
+    const TimeUs deadline = next_deadline();
+    const auto crossing = std::partition_point(
+        packets.begin() + next_index_, packets.end(),
+        [deadline](const PacketRecord& p) { return p.timestamp <= deadline; });
+    next_index_ = static_cast<std::uint32_t>(crossing - packets.begin());
+    if (crossing == packets.end()) break;
+    ++next_index_;
+    close_windows(next_index_ - 1, crossing->timestamp);
     if (decided()) return false;
   }
   return true;
 }
 
-void OnlineCorrelator::process(std::uint32_t j, const PacketRecord& packet) {
-  // Windows whose upper bound this arrival crosses are now final.  (Must
-  // run before the lo pass so a window that opens and closes on the same
-  // arrival ends up empty: lo == hi == j.)
+TimeUs OnlineCorrelator::next_deadline() const {
+  if (decided() || hi_cursor_ >= up_ts_.size()) return kNoDeadline;
+  return up_ts_[hi_cursor_] + config_.max_delay;
+}
+
+void OnlineCorrelator::close_windows(std::uint32_t j, TimeUs timestamp) {
   while (hi_cursor_ < up_ts_.size() &&
-         packet.timestamp > up_ts_[hi_cursor_] + config_.max_delay) {
-    // lo may not have been assigned yet (no packet reached t_i): empty.
-    if (hi_cursor_ >= lo_cursor_) {
-      // The window never opened — this arrival is already past it, so it
-      // finalises empty (lo == hi == j).
-      windows_[hi_cursor_].lo = j;
-      lo_cursor_ = hi_cursor_ + 1;
-    }
-    windows_[hi_cursor_].hi = j;
-    finalize_window(hi_cursor_);
+         timestamp > up_ts_[hi_cursor_] + config_.max_delay) {
+    finalize_window(hi_cursor_, j);
     ++hi_cursor_;
     if (decided()) return;
-  }
-
-  // Windows this arrival opens (first packet at or after t_i).
-  while (lo_cursor_ < up_ts_.size() &&
-         up_ts_[lo_cursor_] <= packet.timestamp) {
-    windows_[lo_cursor_].lo = j;
-    ++lo_cursor_;
   }
 }
 
@@ -105,14 +101,8 @@ void OnlineCorrelator::finish() {
   // packet (a no-op for standalone buffers and decided pairs).
   if (!decided()) ingest_appended();
   finished_ = true;
-  const auto m = static_cast<std::uint32_t>(next_index_);
   while (hi_cursor_ < up_ts_.size()) {
-    if (hi_cursor_ >= lo_cursor_) {
-      windows_[hi_cursor_].lo = m;  // never opened: empty
-      lo_cursor_ = hi_cursor_ + 1;
-    }
-    windows_[hi_cursor_].hi = m;
-    finalize_window(hi_cursor_);
+    finalize_window(hi_cursor_, next_index_);
     ++hi_cursor_;
     if (early_rejected_) break;
   }
@@ -128,44 +118,55 @@ double OnlineCorrelator::finalized_fraction() const {
          static_cast<double>(up_ts_.size());
 }
 
-void OnlineCorrelator::finalize_window(std::uint32_t index) {
-  window_final_[index] = true;
+void OnlineCorrelator::finalize_window(std::uint32_t index,
+                                       std::uint32_t closed_by) {
   if (!options_.early_exit) return;
-  if (windows_[index].empty() &&
-      requires_complete_matching(algorithm_)) {
+  // The window closed by packet `closed_by` is empty iff no earlier packet
+  // reached t_i (packets are timestamp-ordered).
+  if (requires_complete_matching(algorithm_) &&
+      (closed_by == 0 ||
+       downstream_->packets()[closed_by - 1].timestamp < up_ts_[index])) {
     early_rejected_ = true;
     return;
   }
-  if (upstream_->slot_of()[index] != OnlineUpstream::kNoSlot) {
-    check_bit_of(index);
-  }
+  const std::uint32_t bit = upstream_->bit_completed_by()[index];
+  if (bit != OnlineUpstream::kNoBit) check_bit(bit);
 }
 
-void OnlineCorrelator::check_bit_of(std::uint32_t up_index) {
-  const DecodePlan& plan = upstream_->plan();
-  const std::uint32_t slot = upstream_->slot_of()[up_index];
-  const std::uint16_t bit = plan.slots()[slot].bit;
-  if (bit_checked_[bit]) return;
-  const auto slots_of_bit = plan.bit_slots(bit);
-  if (++final_slots_per_bit_[bit] < slots_of_bit.size()) return;
-  bit_checked_[bit] = true;
+MatchWindow OnlineCorrelator::window_of(std::uint32_t index) const {
+  const auto seen = downstream_->packets().first(next_index_);
+  const TimeUs t = up_ts_[index];
+  const auto hi = std::partition_point(
+      seen.begin(), seen.end(), [bound = t + config_.max_delay](
+                                    const PacketRecord& p) {
+        return p.timestamp <= bound;
+      });
+  const auto lo = std::partition_point(
+      seen.begin(), hi,
+      [t](const PacketRecord& p) { return p.timestamp < t; });
+  return MatchWindow{static_cast<std::uint32_t>(lo - seen.begin()),
+                     static_cast<std::uint32_t>(hi - seen.begin())};
+}
 
-  // Greedy bound over the (now final) windows: if even the per-pair
-  // extremes cannot decode this bit as its target value, no selection ever
-  // will.
+void OnlineCorrelator::check_bit(std::uint32_t bit) {
+  // Greedy bound over the (now final) windows of the bit: if even the
+  // per-pair extremes cannot decode it as its target value, no selection
+  // ever will.
+  const DecodePlan& plan = upstream_->plan();
+  const auto seen = downstream_->packets();
   DurationUs extreme = 0;
   bool any_pair = false;
   for (std::uint32_t pair = 0; pair < plan.pairs_per_bit(); ++pair) {
     const PairSlots& ps = plan.pair_slots(bit, pair);
     const SlotInfo& first = plan.slots()[ps.first_slot];
     const SlotInfo& second = plan.slots()[ps.second_slot];
-    const MatchWindow& wf = windows_[first.up_index];
-    const MatchWindow& ws = windows_[second.up_index];
+    const MatchWindow wf = window_of(first.up_index);
+    const MatchWindow ws = window_of(second.up_index);
     if (wf.empty() || ws.empty()) continue;
     const TimeUs t_first =
-        downstream_->timestamp(first.prefer_earliest ? wf.lo : wf.hi - 1);
+        seen[first.prefer_earliest ? wf.lo : wf.hi - 1].timestamp;
     const TimeUs t_second =
-        downstream_->timestamp(second.prefer_earliest ? ws.lo : ws.hi - 1);
+        seen[second.prefer_earliest ? ws.lo : ws.hi - 1].timestamp;
     const DurationUs ipd = t_second - t_first;
     extreme += ps.group1 ? ipd : -ipd;
     any_pair = true;

@@ -3,19 +3,30 @@
 // A deployed tracer watches live traffic: downstream packets arrive one at
 // a time, and waiting for the whole capture before deciding wastes both
 // memory bandwidth and reaction time.  OnlineCorrelator ingests packets in
-// arrival order and maintains the matching windows of every upstream
-// packet incrementally (two monotone cursors, O(1) amortised per packet).
-// A window is *final* once a packet beyond its upper bound has arrived —
-// nothing later can enter it.  Finality enables two sound early exits,
-// long before the stream ends:
+// arrival order and closes the matching window of every upstream packet as
+// soon as it is final: window i, M(p_i) = [t_i, t_i + Delta], is final once
+// a packet later than its upper bound has arrived — nothing later can
+// enter it.  Windows close in upstream order, so one cursor (the next
+// window to close) and its deadline t_i + Delta are all the per-pair
+// progress there is; a packet at or before the deadline changes nothing
+// but the packet count, and ingest_appended() jumps over such packets in
+// one search.  Finality enables two sound early exits, long before the
+// stream ends:
 //
-//  * an upstream packet whose window finalises empty can never be matched
-//    — under the paper's assumptions the pair is immediately negative;
+//  * an upstream packet whose window closes empty can never be matched —
+//    under the paper's assumptions the pair is immediately negative;
 //  * per watermark bit, once all of its windows are final, the greedy
 //    extreme over those windows lower-bounds every order-consistent
 //    decoding of that bit (the paper's Greedy bound); if the number of
 //    provably-unmatchable bits exceeds the Hamming threshold, no future
 //    packet can save the pair.
+//
+// No window is stored.  Both exits read the windows they need from the
+// downstream buffer at the moment they fire: window i closed by packet j is
+// empty iff j == 0 or ts[j-1] < t_i, and a final window's extremes are the
+// first packet at or after t_i and the last at or before t_i + Delta (two
+// binary searches).  Per-pair state is a handful of counters, independent
+// of both flow lengths.
 //
 // The final verdict (when neither early exit fired) is produced by the
 // configured offline algorithm over the buffered flow and is bit-identical
@@ -30,13 +41,14 @@
 //    immutable OnlineUpstream shared by every pair tracking that
 //    watermarked flow, and the downstream packets live in one
 //    AppendOnlyFlow shared by every pair tracking that suspicious flow.
-//    The engine appends to the buffer once and calls ingest_appended() on
-//    each undecided pair — N upstreams x M flows cost one packet copy, not
-//    N copies, which is what lets tens of thousands of concurrent pairs
-//    fit in bounded memory.
+//    The engine appends to the buffer once and calls ingest_appended() only
+//    on the pairs whose next_deadline() the new packet crosses — N
+//    upstreams x M flows cost one packet copy, not N copies, and one
+//    comparison per pair for a packet that closes none of its windows.
 
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -53,9 +65,9 @@ namespace sscor {
 
 /// The immutable per-upstream half of an online decode, shared by every
 /// pair tracking the same watermarked flow: the flow itself, its decode
-/// plan, and the upstream-index -> slot mapping.  Building these once per
-/// upstream (instead of once per pair) is what the streaming flow table
-/// relies on.
+/// plans, and the upstream-index -> completed-bit mapping.  Building these
+/// once per upstream (instead of once per pair) is what the streaming flow
+/// table relies on.
 class OnlineUpstream {
  public:
   explicit OnlineUpstream(WatermarkedFlow watermarked);
@@ -65,20 +77,24 @@ class OnlineUpstream {
   std::span<const TimeUs> timestamps() const {
     return watermarked_.flow.timestamps();
   }
-  /// Slot id of upstream packet i, or kNoSlot when it carries no bit.
-  std::span<const std::uint32_t> slot_of() const { return slot_of_; }
+  /// The watermark bit whose last slot is upstream packet i, or kNoBit:
+  /// once window i is final, every window of that bit is (windows close in
+  /// upstream order).
+  std::span<const std::uint32_t> bit_completed_by() const {
+    return bit_completed_by_;
+  }
 
   /// The SoA plan for the batched decode engine, built once per upstream
   /// and reused by every pair's final verdict (result() feeds it to
   /// Correlator::correlate with the pair's MatchContext).
   const batch::SoaPlan& soa_plan() const { return soa_plan_; }
 
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoBit = 0xffffffffu;
 
  private:
   WatermarkedFlow watermarked_;
   DecodePlan plan_;
-  std::vector<std::uint32_t> slot_of_;
+  std::vector<std::uint32_t> bit_completed_by_;
   batch::SoaPlan soa_plan_;
 };
 
@@ -119,6 +135,15 @@ class OnlineCorrelator {
   /// the last call.  Returns true while the pair is still undecided.
   bool ingest_appended();
 
+  /// The latest downstream timestamp that closes none of the pair's
+  /// windows (kNoDeadline once decided or once every window is closed).  A
+  /// packet at or before it changes no decision state, so a caller fanning
+  /// one buffer out to many pairs may skip ingest_appended() until a packet
+  /// exceeds it; the next call counts the skipped packets.
+  TimeUs next_deadline() const;
+
+  static constexpr TimeUs kNoDeadline = std::numeric_limits<TimeUs>::max();
+
   /// Declares the stream over: every window still open is finalised at
   /// the current end of stream.
   void finish();
@@ -129,7 +154,8 @@ class OnlineCorrelator {
   /// True when the pair was rejected before the stream ended.
   bool early_rejected() const { return early_rejected_; }
 
-  /// Fraction of upstream packets whose matching window is final.
+  /// Fraction of upstream packets whose matching window is final (as of
+  /// the last ingest call).
   double finalized_fraction() const;
 
   /// Watermark bits already provably unmatchable (greedy bound over final
@@ -137,8 +163,8 @@ class OnlineCorrelator {
   /// exceeds the Hamming threshold.
   std::uint32_t provably_mismatched_bits() const { return doomed_bits_; }
 
-  /// Packets processed so far (equals the buffer length until the pair
-  /// decides, then freezes).
+  /// Packets processed so far (equals the buffer length as of the last
+  /// ingest call until the pair decides, then freezes).
   std::size_t packets_seen() const { return next_index_; }
 
   /// The verdict.  Available after decided(); early rejections synthesise
@@ -147,9 +173,11 @@ class OnlineCorrelator {
   CorrelationResult result();
 
  private:
-  void process(std::uint32_t j, const PacketRecord& packet);
-  void finalize_window(std::uint32_t index);
-  void check_bit_of(std::uint32_t up_index);
+  void close_windows(std::uint32_t j, TimeUs timestamp);
+  void finalize_window(std::uint32_t index, std::uint32_t closed_by);
+  void check_bit(std::uint32_t bit);
+  /// The final window of upstream packet `index` over the packets seen.
+  MatchWindow window_of(std::uint32_t index) const;
 
   std::shared_ptr<const OnlineUpstream> upstream_;
   std::shared_ptr<const AppendOnlyFlow> downstream_;
@@ -162,14 +190,9 @@ class OnlineCorrelator {
   /// View into the upstream flow's timestamp cache (owned by upstream_,
   /// which this object keeps alive).
   std::span<const TimeUs> up_ts_;
-  std::vector<MatchWindow> windows_;
-  std::vector<bool> window_final_;
-  std::vector<std::uint32_t> final_slots_per_bit_;
-  std::vector<bool> bit_checked_;
 
   std::uint32_t next_index_ = 0;  ///< next downstream index to process
-  std::uint32_t lo_cursor_ = 0;   ///< next upstream index awaiting its lo
-  std::uint32_t hi_cursor_ = 0;   ///< next upstream index awaiting its hi
+  std::uint32_t hi_cursor_ = 0;   ///< next upstream window to close
   std::uint32_t doomed_bits_ = 0;
   bool early_rejected_ = false;
   bool finished_ = false;

@@ -16,6 +16,11 @@ constexpr std::array<Algorithm, 4> kTierOrder = {
     Algorithm::kGreedyPlus,
     Algorithm::kGreedy,
 };
+constexpr std::size_t kAlgorithms = kTierOrder.size();
+
+std::string algorithm_name(std::size_t algorithm) {
+  return to_string(static_cast<Algorithm>(algorithm));
+}
 
 }  // namespace
 
@@ -76,13 +81,16 @@ CorrelationResult ResilientCorrelator::correlate(
           metrics::histogram("resilient.fallback_depth");
       if (result.degraded) degraded_runs.add();
       fallback_depth.record(depth);
-      metrics::counter("resilient.tier." + to_string(result.algorithm)).add();
+      static metrics::CounterFamily<kAlgorithms> tier("resilient.tier.",
+                                                      algorithm_name);
+      tier[static_cast<std::size_t>(result.algorithm)].add();
       return result;
     }
 
     ++depth;
-    metrics::counter("resilient.fallback_from." + to_string(ladder_[t]))
-        .add();
+    static metrics::CounterFamily<kAlgorithms> fallback_from(
+        "resilient.fallback_from.", algorithm_name);
+    fallback_from[static_cast<std::size_t>(ladder_[t])].add();
   }
   throw InternalError("fallback ladder exhausted without a result");
 }

@@ -91,8 +91,8 @@ Flow merge_flows(const Flow& a, const Flow& b, std::string id = {});
 /// watermarked upstream).  Sharing the buffer instead of copying it into
 /// every decoder is what makes tens of thousands of concurrent pairs fit in
 /// memory; consumers address packets by index (indices are stable — packets
-/// are only ever appended), never by iterator or span, so the underlying
-/// storage may reallocate as the flow grows.
+/// are only ever appended) and hold a packets() span only until the next
+/// append, since the underlying storage may reallocate as the flow grows.
 class AppendOnlyFlow {
  public:
   /// Appends a packet; its timestamp must not precede the current last
@@ -103,6 +103,8 @@ class AppendOnlyFlow {
   bool empty() const { return packets_.empty(); }
   const PacketRecord& packet(std::size_t i) const { return packets_.at(i); }
   TimeUs timestamp(std::size_t i) const { return packets_.at(i).timestamp; }
+  /// Every buffered packet; invalidated by the next append() or release().
+  std::span<const PacketRecord> packets() const { return packets_; }
   TimeUs last_timestamp() const;
 
   /// Materializes the buffered packets as an immutable Flow (the form the

@@ -243,6 +243,7 @@ class QimRoundtripOracle final : public Oracle {
 // Shared embed -> perturb -> chaff pipeline for oracles 2 and 3.
 
 struct Pipeline {
+  WatermarkParams params;
   WatermarkedFlow watermarked;
   Flow downstream;
   CorrelatorConfig config;
@@ -326,6 +327,7 @@ std::optional<Pipeline> build_pipeline(const ParsedCase& parsed) {
   }
 
   Pipeline pipe;
+  pipe.params = params;
   const Watermark wm = watermark_from_mask(wm_mask, params.bits);
   try {
     pipe.watermarked = Embedder(params, key).embed(flow, wm);
@@ -1522,10 +1524,14 @@ class FlowTextReaderOracle final : public ReaderOracleBase {
 
 /// stream_parity: the streaming engine is the batch pipeline, incrementally.
 /// For a generated capture — the pipeline's downstream flow plus
-/// constant-delay decoy copies, merged in timestamp order — StreamEngine
-/// with early exits disabled must reproduce Correlator::correlate byte for
-/// byte for every (flow, upstream) pair, at shard count 1 and at a
-/// payload-chosen shard count, in identical verdict order.  With early
+/// constant-delay decoy copies, merged in timestamp order — checked against
+/// 1-3 upstreams: the pipeline's watermarked flow plus up to two more
+/// watermarks of the same base flow under their own keys ("key<u>",
+/// "wm<u>"), started u * "stagger" later so every flow's upstream deadlines
+/// interleave in the engine's per-packet pass.  StreamEngine with early
+/// exits disabled must reproduce Correlator::correlate byte for byte for
+/// every (flow, upstream) pair, at shard count 1 and at a payload-chosen
+/// shard count, in identical verdict order.  With early
 /// exits enabled the decisions must still agree, and every early
 /// rejection's cost must equal the stream prefix it inspected.
 class StreamParityOracle final : public Oracle {
@@ -1539,7 +1545,14 @@ class StreamParityOracle final : public Oracle {
          {"shards", 1 + static_cast<std::int64_t>(rng.uniform_u64(8))},
          {"decoys", static_cast<std::int64_t>(rng.uniform_u64(3))},
          {"batch", 1 + static_cast<std::int64_t>(rng.uniform_u64(128))},
-         {"early", rng.bernoulli(0.5) ? 1 : 0}});
+         {"early", rng.bernoulli(0.5) ? 1 : 0},
+         {"upstreams", 1 + static_cast<std::int64_t>(rng.uniform_u64(3))},
+         {"key1", static_cast<std::int64_t>(rng())},
+         {"wm1", static_cast<std::int64_t>(rng())},
+         {"key2", static_cast<std::int64_t>(rng())},
+         {"wm2", static_cast<std::int64_t>(rng())},
+         {"stagger", static_cast<std::int64_t>(
+                         rng.uniform_u64(seconds(std::int64_t{3})))}});
   }
 
   OracleResult check(const std::vector<std::uint8_t>& payload) override {
@@ -1556,6 +1569,28 @@ class StreamParityOracle final : public Oracle {
     const auto batch_size = static_cast<std::size_t>(
         get_clamped(*parsed, "batch", 16, 1, 1024));
     const bool try_early = get_clamped(*parsed, "early", 0, 0, 1) != 0;
+    const auto upstream_count = static_cast<std::size_t>(
+        get_clamped(*parsed, "upstreams", 1, 1, 3));
+    const DurationUs stagger =
+        get_clamped(*parsed, "stagger", 0, 0, seconds(std::int64_t{3}));
+
+    std::vector<WatermarkedFlow> upstreams = {pipe->watermarked};
+    for (std::size_t u = 1; u < upstream_count; ++u) {
+      const std::string n = std::to_string(u);
+      const auto key = static_cast<std::uint64_t>(
+          get_clamped(*parsed, "key" + n, 1, INT64_MIN, INT64_MAX));
+      const auto wm_mask = static_cast<std::uint64_t>(
+          get_clamped(*parsed, "wm" + n, 0, INT64_MIN, INT64_MAX));
+      const Flow base = traffic::ConstantDelay(
+                            static_cast<DurationUs>(u) * stagger)
+                            .apply(parsed->flow);
+      try {
+        upstreams.push_back(Embedder(pipe->params, key).embed(
+            base, watermark_from_mask(wm_mask, pipe->params.bits)));
+      } catch (const InvalidArgument&) {
+        return skip_case();
+      }
+    }
 
     // The capture: the pipeline's downstream plus delayed decoy copies,
     // each under its own five-tuple, merged in timestamp order.
@@ -1580,11 +1615,15 @@ class StreamParityOracle final : public Oracle {
                        return a.packet.timestamp < b.packet.timestamp;
                      });
 
+    // batch[flow * upstream_count + upstream]
     std::vector<CorrelationResult> batch;
     const Correlator correlator(pipe->config, algo);
     for (const Flow& flow : flows) {
-      batch.push_back(correlator.correlate(pipe->watermarked, flow));
+      for (const WatermarkedFlow& upstream : upstreams) {
+        batch.push_back(correlator.correlate(upstream, flow));
+      }
     }
+    const std::size_t pairs = flows.size() * upstream_count;
 
     const auto run_stream =
         [&](std::size_t shard_count,
@@ -1594,8 +1633,7 @@ class StreamParityOracle final : public Oracle {
       options.table.shards = shard_count;
       options.early_exit = early_exit;
       options.batch_size = batch_size;
-      stream::StreamEngine engine({pipe->watermarked}, pipe->config,
-                                  options);
+      stream::StreamEngine engine(upstreams, pipe->config, options);
       for (const stream::StreamPacket& packet : packets) {
         engine.ingest(packet);
       }
@@ -1615,11 +1653,11 @@ class StreamParityOracle final : public Oracle {
                          std::to_string(shard_count) + " shards: " +
                          e.what());
       }
-      if (verdicts.size() != flows.size()) {
+      if (verdicts.size() != pairs) {
         return violation("stream engine produced " +
                          std::to_string(verdicts.size()) +
-                         " verdicts for " + std::to_string(flows.size()) +
-                         " flows at " + std::to_string(shard_count) +
+                         " verdicts for " + std::to_string(pairs) +
+                         " pairs at " + std::to_string(shard_count) +
                          " shards");
       }
       for (const stream::StreamVerdict& v : verdicts) {
@@ -1630,17 +1668,24 @@ class StreamParityOracle final : public Oracle {
         }
         const auto flow_index =
             static_cast<std::size_t>(it - tuples.begin());
+        if (v.upstream >= upstream_count) {
+          return violation("verdict for unknown upstream " +
+                           std::to_string(v.upstream));
+        }
+        const CorrelationResult& want =
+            batch[flow_index * upstream_count + v.upstream];
         if (auto m = result_mismatch(
                 "stream verdict at " + std::to_string(shard_count) +
                     " shards diverges from batch for flow " +
-                    std::to_string(flow_index),
-                v.result, batch[flow_index]);
+                    std::to_string(flow_index) + ", upstream " +
+                    std::to_string(v.upstream),
+                v.result, want);
             !m.empty()) {
           return violation(std::move(m));
         }
         const stream::VerdictKind want_kind =
-            batch[flow_index].correlated ? stream::VerdictKind::kPositive
-                                         : stream::VerdictKind::kNegative;
+            want.correlated ? stream::VerdictKind::kPositive
+                            : stream::VerdictKind::kNegative;
         if (v.kind != want_kind || v.early) {
           return violation(
               "stream verdict kind/early inconsistent with batch "
@@ -1673,11 +1718,11 @@ class StreamParityOracle final : public Oracle {
                                      "exits on: ") +
                          e.what());
       }
-      if (verdicts.size() != flows.size()) {
+      if (verdicts.size() != pairs) {
         return violation("early-exit run produced " +
                          std::to_string(verdicts.size()) +
-                         " verdicts for " + std::to_string(flows.size()) +
-                         " flows");
+                         " verdicts for " + std::to_string(pairs) +
+                         " pairs");
       }
       for (const stream::StreamVerdict& v : verdicts) {
         const auto it = std::find(tuples.begin(), tuples.end(), v.tuple);
@@ -1687,10 +1732,12 @@ class StreamParityOracle final : public Oracle {
         }
         const auto flow_index =
             static_cast<std::size_t>(it - tuples.begin());
-        if (v.result.correlated != batch[flow_index].correlated) {
+        if (v.result.correlated !=
+            batch[flow_index * upstream_count + v.upstream].correlated) {
           return violation("early-exit decision diverges from batch for "
                            "flow " +
-                           std::to_string(flow_index));
+                           std::to_string(flow_index) + ", upstream " +
+                           std::to_string(v.upstream));
         }
         if (v.early && v.result.cost != v.packets_seen) {
           return violation("early rejection cost " +

@@ -53,8 +53,9 @@
 //                    packet count when both accept).  Catches the lenient
 //                    trailing-token / signed-size parsing.
 //   stream_parity    the streaming engine reproduces the batch pipeline:
-//                    for a merged multi-flow capture, StreamEngine verdicts
-//                    with early exits off are byte-identical to
+//                    for a merged multi-flow capture against 1-3 upstreams
+//                    with their own keys and staggered starts, StreamEngine
+//                    verdicts with early exits off are byte-identical to
 //                    Correlator::correlate at shard counts 1 and N (same
 //                    order, same costs), and with early exits on the
 //                    decisions still agree.

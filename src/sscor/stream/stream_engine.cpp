@@ -25,6 +25,13 @@ std::int64_t steady_now_us() {
 /// overload episode (one kWarn event per episode, not per eviction).
 constexpr std::int64_t kPressureEpisodeUs = 5'000'000;
 
+/// Packets per flow, recorded when the flow leaves the table.
+metrics::Histogram& flow_packets_histogram() {
+  static metrics::Histogram& histogram =
+      metrics::histogram("stream.flow.packets");
+  return histogram;
+}
+
 }  // namespace
 
 const char* to_string(VerdictKind kind) {
@@ -45,25 +52,12 @@ namespace {
 
 /// The per-kind verdict counter, registered on that kind's first verdict
 /// and held afterwards, so a verdict costs no registry lookup.
-template <VerdictKind kKind>
-metrics::Counter& verdict_counter() {
-  static metrics::Counter& counter =
-      metrics::counter(std::string("stream.verdicts.") + to_string(kKind));
-  return counter;
-}
-
 metrics::Counter& verdict_counter(VerdictKind kind) {
-  switch (kind) {
-    case VerdictKind::kPositive:
-      return verdict_counter<VerdictKind::kPositive>();
-    case VerdictKind::kNegative:
-      return verdict_counter<VerdictKind::kNegative>();
-    case VerdictKind::kEvicted:
-      return verdict_counter<VerdictKind::kEvicted>();
-    case VerdictKind::kDegraded:
-      return verdict_counter<VerdictKind::kDegraded>();
-  }
-  throw InternalError("unhandled verdict kind");
+  static metrics::CounterFamily<4> counters(
+      "stream.verdicts.", [](std::size_t kind) -> std::string {
+        return to_string(static_cast<VerdictKind>(kind));
+      });
+  return counters[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
@@ -74,7 +68,33 @@ metrics::Counter& verdict_counter(VerdictKind kind) {
 struct StreamEngine::FlowState : FlowUserState {
   std::shared_ptr<AppendOnlyFlow> buffer = std::make_shared<AppendOnlyFlow>();
   std::vector<OnlineCorrelator> pairs;
+  /// pairs[i].next_deadline(), contiguous so the per-packet pass is one
+  /// sweep of comparisons; a pair is called only when a packet crosses it.
+  std::vector<TimeUs> deadlines;
+  /// Buffered packets the deadline pass has run over.  An undecided pair
+  /// has seen exactly these, whether or not the pass called it (a packet
+  /// that crosses none of its deadlines cannot change its state).
+  std::uint64_t fed = 0;
+  std::size_t undecided = 0;
   std::vector<StreamVerdict> held;
+
+  /// The deadline pass for the packet just appended to `buffer`: advances
+  /// every pair whose next window that packet closes and calls
+  /// `on_decided(i)` for each pair i that reaches a decision.
+  template <typename OnDecided>
+  void advance(TimeUs timestamp, OnDecided&& on_decided) {
+    ++fed;
+    for (std::size_t i = 0; i < deadlines.size(); ++i) {
+      if (timestamp <= deadlines[i]) continue;
+      OnlineCorrelator& pair = pairs[i];
+      pair.ingest_appended();
+      deadlines[i] = pair.next_deadline();
+      if (pair.decided()) {
+        --undecided;
+        on_decided(i);
+      }
+    }
+  }
 };
 
 struct StreamEngine::ShardState {
@@ -131,9 +151,12 @@ void StreamEngine::flush() {
       shards_.size(), [this](std::size_t shard) { process_shard(shard); },
       options_.threads);
   pending_total_ = 0;
-  metrics::histogram("stream.table.occupancy").record(table_.flows());
-  metrics::histogram("stream.table.buffered")
-      .record(table_.buffered_packets());
+  static metrics::Histogram& occupancy =
+      metrics::histogram("stream.table.occupancy");
+  static metrics::Histogram& buffered =
+      metrics::histogram("stream.table.buffered");
+  occupancy.record(table_.flows());
+  buffered.record(table_.buffered_packets());
   publish_status();
 }
 
@@ -211,12 +234,7 @@ void StreamEngine::restore(const EngineSnapshot& snapshot) {
       FlowEntry* entry = table_.restore_entry(i, flow.entry);
       auto state = std::make_unique<FlowState>();
       if (!flow.entry.tombstone) {
-        state->pairs.reserve(upstreams_.size());
-        for (const auto& upstream : upstreams_) {
-          state->pairs.emplace_back(upstream, state->buffer, config_,
-                                    options_.algorithm,
-                                    OnlineOptions{options_.early_exit});
-        }
+        add_pairs(*state);
         // Replay the buffer through fresh decoders, one append at a time —
         // the exact call pattern of the original run — so every pair lands
         // in the same decided/undecided state it had at snapshot time.
@@ -225,9 +243,7 @@ void StreamEngine::restore(const EngineSnapshot& snapshot) {
         // in the restored `held` list below).
         for (const PacketRecord& record : flow.buffered) {
           state->buffer->append(record);
-          for (OnlineCorrelator& pair : state->pairs) {
-            if (!pair.decided()) pair.ingest_appended();
-          }
+          state->advance(record.timestamp, [](std::size_t) {});
         }
       }
       state->held = flow.held;
@@ -262,6 +278,13 @@ void StreamEngine::publish_status() {
   status.upstreams = upstreams_.size();
   status.finished = finished_;
   status.shards.resize(shards_.size());
+  if (shard_gauges_.empty()) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const std::string prefix = "stream.shard." + std::to_string(i);
+      shard_gauges_.push_back({&metrics::gauge(prefix + ".flows"),
+                               &metrics::gauge(prefix + ".buffered")});
+    }
+  }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     EngineStatus::Shard& shard = status.shards[i];
     shard.flows = table_.flows(i);
@@ -276,16 +299,15 @@ void StreamEngine::publish_status() {
     status.verdicts_degraded +=
         shards_[i]->tally_by_kind[static_cast<int>(VerdictKind::kDegraded)];
     status.verdicts_early += shards_[i]->tally_early;
-    const std::string prefix = "stream.shard." + std::to_string(i);
-    metrics::gauge(prefix + ".flows")
-        .set(static_cast<std::int64_t>(shard.flows));
-    metrics::gauge(prefix + ".buffered")
-        .set(static_cast<std::int64_t>(shard.buffered_packets));
+    shard_gauges_[i].flows->set(static_cast<std::int64_t>(shard.flows));
+    shard_gauges_[i].buffered->set(
+        static_cast<std::int64_t>(shard.buffered_packets));
   }
-  metrics::gauge("stream.flows.live")
-      .set(static_cast<std::int64_t>(status.flows_live));
-  metrics::gauge("stream.packets.buffered")
-      .set(static_cast<std::int64_t>(status.buffered_packets));
+  static metrics::Gauge& flows_live = metrics::gauge("stream.flows.live");
+  static metrics::Gauge& packets_buffered =
+      metrics::gauge("stream.packets.buffered");
+  flows_live.set(static_cast<std::int64_t>(status.flows_live));
+  packets_buffered.set(static_cast<std::int64_t>(status.buffered_packets));
 
   // The hottest-flow ranking walks every live entry, so throttle it to the
   // telemetry timescale; flushes can be far more frequent than scrapes.
@@ -345,14 +367,10 @@ std::vector<StreamVerdict> StreamEngine::drain_verdicts() {
 StreamEngine::FlowState* StreamEngine::ensure_state(FlowEntry& entry) {
   if (entry.state == nullptr) {
     auto state = std::make_unique<FlowState>();
-    state->pairs.reserve(upstreams_.size());
-    for (const auto& upstream : upstreams_) {
-      state->pairs.emplace_back(upstream, state->buffer, config_,
-                                options_.algorithm,
-                                OnlineOptions{options_.early_exit});
-    }
+    add_pairs(*state);
     entry.state = std::move(state);
-    metrics::counter("stream.flows.created").add();
+    static metrics::Counter& created = metrics::counter("stream.flows.created");
+    created.add();
     if (eventlog::enabled()) {
       eventlog::emit(eventlog::Severity::kDebug, "flow.admitted",
                      {{"tuple", entry.tuple.to_string()},
@@ -360,6 +378,18 @@ StreamEngine::FlowState* StreamEngine::ensure_state(FlowEntry& entry) {
     }
   }
   return static_cast<FlowState*>(entry.state.get());
+}
+
+void StreamEngine::add_pairs(FlowState& state) const {
+  state.pairs.reserve(upstreams_.size());
+  state.deadlines.reserve(upstreams_.size());
+  for (const auto& upstream : upstreams_) {
+    state.pairs.emplace_back(upstream, state.buffer, config_,
+                             options_.algorithm,
+                             OnlineOptions{options_.early_exit});
+    state.deadlines.push_back(state.pairs.back().next_deadline());
+  }
+  state.undecided = state.pairs.size();
 }
 
 void StreamEngine::process_shard(std::size_t shard) {
@@ -400,37 +430,34 @@ void StreamEngine::route(std::size_t shard, std::uint64_t seq,
   handle_evictions(shard, std::move(over_cap));
   if (!alive) return;  // the entry itself paid for the cap
 
-  bool all_decided = true;
-  for (std::size_t i = 0; i < state->pairs.size(); ++i) {
+  state->advance(packet.packet.timestamp, [&](std::size_t i) {
     OnlineCorrelator& pair = state->pairs[i];
-    if (!pair.decided()) {
-      pair.ingest_appended();
-      if (pair.decided()) {
-        StreamVerdict verdict;
-        verdict.tuple = entry->tuple;
-        verdict.flow_seq = entry->first_seen_seq;
-        verdict.upstream = i;
-        verdict.kind = VerdictKind::kNegative;
-        verdict.early = true;
-        verdict.packets_seen = pair.packets_seen();
-        verdict.result = pair.result();
-        if (entry->packets >= options_.min_packets) {
-          emit(shard, std::move(verdict));
-        } else {
-          state->held.push_back(std::move(verdict));
-        }
-      }
+    StreamVerdict verdict;
+    verdict.tuple = entry->tuple;
+    verdict.flow_seq = entry->first_seen_seq;
+    verdict.upstream = i;
+    verdict.kind = VerdictKind::kNegative;
+    verdict.early = true;
+    verdict.packets_seen = pair.packets_seen();
+    verdict.result = pair.result();
+    if (entry->packets >= options_.min_packets) {
+      emit(shard, std::move(verdict));
+    } else {
+      state->held.push_back(std::move(verdict));
     }
-    all_decided = all_decided && pair.decided();
-  }
-  if (all_decided && !state->pairs.empty()) {
+  });
+  if (state->undecided == 0 && !state->pairs.empty()) {
     // Every pair rejected before the stream ended: drop the buffer, keep
     // the entry as a tombstone absorbing late packets.
     state->buffer->release();
     state->pairs.clear();
     state->pairs.shrink_to_fit();
+    state->deadlines.clear();
+    state->deadlines.shrink_to_fit();
     table_.tombstone(shard, entry);
-    metrics::counter("stream.flows.early_decided").add();
+    static metrics::Counter& early_decided =
+        metrics::counter("stream.flows.early_decided");
+    early_decided.add();
   }
 }
 
@@ -449,12 +476,15 @@ void StreamEngine::flush_held(std::size_t shard, FlowState& state) {
 
 void StreamEngine::handle_evictions(std::size_t shard,
                                     std::vector<EvictedFlow> evicted) {
+  static metrics::Counter& evictions = metrics::counter("stream.flows.evicted");
+  static metrics::CounterFamily<3> evictions_by_cause(
+      "stream.flows.evicted.", [](std::size_t cause) -> std::string {
+        return to_string(static_cast<EvictionCause>(cause));
+      });
   for (auto& ev : evicted) {
-    metrics::counter("stream.flows.evicted").add();
-    metrics::counter(std::string("stream.flows.evicted.") +
-                     to_string(ev.cause))
-        .add();
-    metrics::histogram("stream.flow.packets").record(ev.packets);
+    evictions.add();
+    evictions_by_cause[static_cast<std::size_t>(ev.cause)].add();
+    flow_packets_histogram().record(ev.packets);
     if (ev.cause != EvictionCause::kIdle) {
       // A bound displaced live work: stamp the overload clock (read by
       // /healthz) and log the onset of a new episode.
@@ -489,20 +519,21 @@ void StreamEngine::handle_evictions(std::size_t shard,
       emit(shard, std::move(verdict));
     }
     state->held.clear();
+    // An undecided pair the deadline pass skipped has not counted the
+    // packets it skipped; the flow's pass count is what it has seen.
     for (std::size_t i = 0; i < state->pairs.size(); ++i) {
-      OnlineCorrelator& pair = state->pairs[i];
-      if (pair.decided()) continue;  // verdict already surfaced
+      if (state->pairs[i].decided()) continue;  // verdict already surfaced
       StreamVerdict verdict;
       verdict.tuple = ev.tuple;
       verdict.flow_seq = ev.first_seen_seq;
       verdict.upstream = i;
       verdict.kind = VerdictKind::kEvicted;
       verdict.early = false;
-      verdict.packets_seen = pair.packets_seen();
+      verdict.packets_seen = state->fed;
       verdict.result.algorithm = options_.algorithm;
       verdict.result.correlated = false;
       verdict.result.matching_complete = false;
-      verdict.result.cost = pair.packets_seen();
+      verdict.result.cost = state->fed;
       emit(shard, std::move(verdict));
     }
   }
@@ -515,7 +546,7 @@ void StreamEngine::finalize_shard(std::size_t shard) {
   table_.for_each(shard, [&](FlowEntry& entry) {
     auto* state = static_cast<FlowState*>(entry.state.get());
     if (state == nullptr) return;
-    metrics::histogram("stream.flow.packets").record(entry.packets);
+    flow_packets_histogram().record(entry.packets);
     if (entry.packets < options_.min_packets) return;  // batch drops these
     flush_held(shard, *state);
     if (entry.tombstone || state->pairs.empty()) return;
@@ -546,8 +577,11 @@ void StreamEngine::finalize_shard(std::size_t shard) {
           materialized = true;
         }
         const trace::DecodePairScope scope(
-            entry.tuple.to_string() + "#" +
-            std::to_string(entry.first_seen_seq) + " up" + std::to_string(i));
+            trace::decode_enabled()
+                ? entry.tuple.to_string() + "#" +
+                      std::to_string(entry.first_seen_seq) + " up" +
+                      std::to_string(i)
+                : std::string());
         const WatermarkedFlow& upstream = upstreams_[i]->watermarked();
         verdict.result =
             options_.admission.enabled()

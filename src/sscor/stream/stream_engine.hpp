@@ -44,6 +44,7 @@
 #include "sscor/correlation/resilient.hpp"
 #include "sscor/stream/flow_table.hpp"
 #include "sscor/stream/packet_source.hpp"
+#include "sscor/util/gauge.hpp"
 
 namespace sscor::stream {
 
@@ -231,6 +232,7 @@ class StreamEngine {
   struct ShardState;
 
   FlowState* ensure_state(FlowEntry& entry);
+  void add_pairs(FlowState& state) const;
   void process_shard(std::size_t shard);
   void finalize_shard(std::size_t shard);
   void route(std::size_t shard, std::uint64_t seq, const StreamPacket& packet);
@@ -257,6 +259,12 @@ class StreamEngine {
   /// Throttle for the O(flows) hottest-flow walk (serial points only).
   std::int64_t last_topk_us_ = -1;
   std::vector<EngineStatus::HotFlow> cached_hottest_;
+  /// stream.shard.<i>.{flows,buffered}, registered at the first publish.
+  struct ShardGauges {
+    metrics::Gauge* flows;
+    metrics::Gauge* buffered;
+  };
+  std::vector<ShardGauges> shard_gauges_;
 };
 
 }  // namespace sscor::stream

@@ -15,10 +15,13 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <chrono>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sscor/util/gauge.hpp"
@@ -73,6 +76,32 @@ Counter& counter(const std::string& name);
 TimerStat& timer(const std::string& name);
 Histogram& histogram(const std::string& name);
 Gauge& gauge(const std::string& name);
+
+/// A family of counters named `prefix + name_of(i)` for i < N — one per
+/// value of a small enum.  Each is registered on its first use (so the
+/// registry lists exactly the names it would without the family) and held
+/// afterwards: a hot path indexes an array instead of building a name and
+/// locking the registry.  Thread-safe; meant to live as a function-local
+/// static.
+template <std::size_t N>
+class CounterFamily {
+ public:
+  using NameOf = std::string (*)(std::size_t);
+  CounterFamily(std::string prefix, NameOf name_of)
+      : prefix_(std::move(prefix)), name_of_(name_of) {}
+
+  Counter& operator[](std::size_t i) {
+    std::call_once(registered_[i],
+                   [&] { held_[i] = &counter(prefix_ + name_of_(i)); });
+    return *held_[i];
+  }
+
+ private:
+  std::string prefix_;
+  NameOf name_of_;
+  std::array<std::once_flag, N> registered_;
+  std::array<Counter*, N> held_{};
+};
 
 /// RAII wall-clock measurement added to timer(name) on destruction.  The
 /// clock is std::chrono::steady_clock (never wall time, which can step) and

@@ -22,6 +22,7 @@
 #include "sscor/stream/packet_source.hpp"
 #include "sscor/stream/stream_engine.hpp"
 #include "sscor/util/error.hpp"
+#include "sscor/util/journal.hpp"
 
 namespace sscor::stream {
 namespace {
@@ -277,6 +278,306 @@ TEST(StreamParity, ThreadCountNeverAffectsVerdicts) {
     EXPECT_EQ(verdicts[i].kind, golden[i].kind) << label;
     EXPECT_EQ(verdicts[i].early, golden[i].early) << label;
     expect_identical_result(verdicts[i].result, golden[i].result, label);
+  }
+}
+
+/// One verdict rendered field by field — the full CorrelationResult, cost
+/// included — for the golden pin.
+std::string render_verdict(const StreamVerdict& v) {
+  const CorrelationResult& r = v.result;
+  return v.tuple.to_string() + ',' + std::to_string(v.flow_seq) + ',' +
+         std::to_string(v.upstream) + ',' + to_string(v.kind) + ',' +
+         std::to_string(v.early) + ',' + std::to_string(v.packets_seen) +
+         ',' + std::to_string(static_cast<int>(r.algorithm)) + ',' +
+         std::to_string(r.correlated) + ',' + std::to_string(r.hamming) +
+         ',' + r.best_watermark.to_string() + ',' + std::to_string(r.cost) +
+         ',' + std::to_string(r.matching_complete) + ',' +
+         std::to_string(r.cost_bound_hit) + ',' +
+         std::to_string(r.interrupted) + ',' +
+         std::to_string(static_cast<int>(r.stop_reason)) + ',' +
+         std::to_string(r.degraded) + ';';
+}
+
+// The parity tests above compare the engine with the batch pipeline, and
+// early rejections only on their decision and cost == packets_seen — a
+// rejection that moved to a different packet would pass them.  This pins
+// every verdict field with early exits on, for four algorithms x shards
+// {1, 4}, both unbounded and under a buffered-packet cap that evicts flows
+// mid-stream (so kEvicted packets_seen is pinned too).  The constants were
+// recorded before the online decoder dropped its per-pair window arrays
+// and must never be re-pinned to absorb a behaviour change.
+TEST(StreamGolden, EarlyExitVerdictsMatchPinnedHashes) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"seed1/Greedy/shards1/cap0", 0xedd84a2b86e5e73aull},
+      {"seed1/Greedy/shards1/cap400", 0xe555962c3adc81afull},
+      {"seed1/Greedy/shards4/cap0", 0xedd84a2b86e5e73aull},
+      {"seed1/Greedy/shards4/cap400", 0x5aacec5aad0643b1ull},
+      {"seed1/Greedy+/shards1/cap0", 0xe50459ec301ef48bull},
+      {"seed1/Greedy+/shards1/cap400", 0x6519be27168db11bull},
+      {"seed1/Greedy+/shards4/cap0", 0xe50459ec301ef48bull},
+      {"seed1/Greedy+/shards4/cap400", 0x970812811b429448ull},
+      {"seed1/Greedy*/shards1/cap0", 0x546238e4983d2b4eull},
+      {"seed1/Greedy*/shards1/cap400", 0x7b245700eabbecfeull},
+      {"seed1/Greedy*/shards4/cap0", 0x546238e4983d2b4eull},
+      {"seed1/Greedy*/shards4/cap400", 0xaf38cec78023ca62ull},
+      {"seed1/BruteForce/shards1/cap0", 0x878968276046269cull},
+      {"seed1/BruteForce/shards1/cap400", 0x87c7340c4bf56b5dull},
+      {"seed1/BruteForce/shards4/cap0", 0x878968276046269cull},
+      {"seed1/BruteForce/shards4/cap400", 0xbe92abcb5c1b7914ull},
+      {"seed2/Greedy/shards1/cap0", 0x73a7dbf5829c1524ull},
+      {"seed2/Greedy/shards1/cap400", 0xd693b0ea794a11d8ull},
+      {"seed2/Greedy/shards4/cap0", 0x73a7dbf5829c1524ull},
+      {"seed2/Greedy/shards4/cap400", 0x22e9fe78d174d8cfull},
+      {"seed2/Greedy+/shards1/cap0", 0xc2be9f3d466fc26aull},
+      {"seed2/Greedy+/shards1/cap400", 0x9fddc1bd43e18461ull},
+      {"seed2/Greedy+/shards4/cap0", 0xc2be9f3d466fc26aull},
+      {"seed2/Greedy+/shards4/cap400", 0xd53edfd8acf2dc8bull},
+      {"seed2/Greedy*/shards1/cap0", 0xf1702c51ff70b564ull},
+      {"seed2/Greedy*/shards1/cap400", 0xd3baf4ba90fbda9bull},
+      {"seed2/Greedy*/shards4/cap0", 0xf1702c51ff70b564ull},
+      {"seed2/Greedy*/shards4/cap400", 0x8b107e481d1c1e5bull},
+      {"seed2/BruteForce/shards1/cap0", 0xab95336257ac05eull},
+      {"seed2/BruteForce/shards1/cap400", 0xbd7ac48bee585445ull},
+      {"seed2/BruteForce/shards4/cap0", 0xab95336257ac05eull},
+      {"seed2/BruteForce/shards4/cap400", 0xe49ed2b825d81017ull},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const ParityCase parity = make_parity_case(seed);
+    for (const Algorithm algorithm :
+         {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar,
+          Algorithm::kBruteForce}) {
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t cap : {std::size_t{0}, std::size_t{400}}) {
+          StreamOptions options;
+          options.algorithm = algorithm;
+          options.early_exit = true;
+          options.table.shards = shards;
+          options.table.max_buffered_packets = cap;
+          std::string rendered;
+          for (const StreamVerdict& v : run_engine(parity, options)) {
+            rendered += render_verdict(v);
+          }
+          got.emplace_back("seed" + std::to_string(seed) + '/' +
+                               to_string(algorithm) + "/shards" +
+                               std::to_string(shards) + "/cap" +
+                               std::to_string(cap),
+                           journal::fnv1a64(rendered));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(got.size(), pinned.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(pinned[i].first, got[i].first);
+    EXPECT_EQ(pinned[i].second, got[i].second)
+        << "{\"" << got[i].first << "\", 0x" << std::hex << got[i].second
+        << "ull},";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The per-packet deadline pass, against a standalone decoder per pair.
+
+Flow shifted(const Flow& flow, DurationUs offset) {
+  std::vector<PacketRecord> packets(flow.packets().begin(),
+                                    flow.packets().end());
+  for (PacketRecord& packet : packets) packet.timestamp += offset;
+  return Flow(std::move(packets), flow.id());
+}
+
+/// Three watermarked upstreams starting 0, 25 and 50 s apart, each carrier
+/// shifted with its upstream, plus two decoys.  Every flow's upstream
+/// deadlines interleave, and the later upstreams' deadlines lie far beyond
+/// an early flow's packets, so the engine's pass skips those pairs for a
+/// long stretch.
+struct FanOutCase {
+  std::vector<WatermarkedFlow> upstreams;
+  std::vector<StreamPacket> packets;
+};
+
+FanOutCase make_fan_out_case(std::uint64_t seed) {
+  experiment::StreamCorpusConfig config;
+  config.watermarked_flows = 3;
+  config.decoy_flows = 2;
+  config.packets_per_flow = 120;
+  config.seed = seed;
+  config.watermark = parity_watermark();
+  const experiment::StreamCorpus corpus = experiment::make_stream_corpus(config);
+
+  FanOutCase fan_out;
+  for (std::size_t k = 0; k < corpus.downstream.size(); ++k) {
+    const DurationUs offset = seconds(static_cast<std::int64_t>(25 * (k % 3)));
+    if (k < corpus.upstreams.size()) {
+      WatermarkedFlow upstream = corpus.upstreams[k];
+      upstream.flow = shifted(upstream.flow, offset);
+      fan_out.upstreams.push_back(std::move(upstream));
+    }
+    for (const PacketRecord& packet :
+         shifted(corpus.downstream[k], offset).packets()) {
+      fan_out.packets.push_back(StreamPacket{corpus.tuples[k], packet});
+    }
+  }
+  std::stable_sort(fan_out.packets.begin(), fan_out.packets.end(),
+                   [](const StreamPacket& a, const StreamPacket& b) {
+                     return a.packet.timestamp < b.packet.timestamp;
+                   });
+  return fan_out;
+}
+
+/// Checks every verdict against a standalone OnlineCorrelator fed its flow
+/// instance packet by packet through ingest().  With min_packets = 1 every
+/// instance yields verdicts, so an instance's packets are its tuple's
+/// packets from its flow_seq up to the next instance of that tuple.
+/// Returns how many kEvicted verdicts belong to pairs the engine's pass
+/// never called (no instance packet crossed the pair's first deadline).
+std::size_t expect_verdicts_match_standalone(
+    const FanOutCase& fan_out, const std::vector<StreamVerdict>& verdicts,
+    Algorithm algorithm, const std::string& label) {
+  std::map<net::FiveTuple, std::vector<std::uint64_t>> starts;
+  for (const StreamVerdict& v : verdicts) starts[v.tuple].push_back(v.flow_seq);
+  for (auto& [tuple, seqs] : starts) {
+    std::sort(seqs.begin(), seqs.end());
+    seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
+  }
+
+  std::size_t skipped_evictions = 0;
+  for (const StreamVerdict& v : verdicts) {
+    const std::string where = label + ", flow " + std::to_string(v.flow_seq) +
+                              ", upstream " + std::to_string(v.upstream);
+    const auto& seqs = starts.at(v.tuple);
+    const auto next = std::upper_bound(seqs.begin(), seqs.end(), v.flow_seq);
+    const std::uint64_t end =
+        next == seqs.end() ? fan_out.packets.size() : *next;
+    std::vector<PacketRecord> instance;
+    for (std::uint64_t s = v.flow_seq; s < end; ++s) {
+      if (fan_out.packets[s].tuple == v.tuple) {
+        instance.push_back(fan_out.packets[s].packet);
+      }
+    }
+
+    OnlineCorrelator reference(fan_out.upstreams[v.upstream], parity_config(),
+                               algorithm);
+    for (const PacketRecord& packet : instance) {
+      if (!reference.ingest(packet)) break;
+    }
+    if (v.kind == VerdictKind::kEvicted) {
+      EXPECT_FALSE(reference.decided()) << where;
+      EXPECT_EQ(v.packets_seen, instance.size()) << where;
+      EXPECT_EQ(v.result.cost, instance.size()) << where;
+      EXPECT_FALSE(v.result.correlated) << where;
+      EXPECT_FALSE(v.early) << where;
+      const TimeUs first_deadline =
+          fan_out.upstreams[v.upstream].flow.timestamp(0) +
+          parity_config().max_delay;
+      if (!instance.empty() && instance.back().timestamp <= first_deadline) {
+        ++skipped_evictions;
+      }
+      continue;
+    }
+    reference.finish();
+    EXPECT_EQ(v.early, reference.early_rejected()) << where;
+    EXPECT_EQ(v.packets_seen, reference.packets_seen()) << where;
+    expect_identical_result(v.result, reference.result(), where);
+    EXPECT_EQ(v.kind, v.result.correlated ? VerdictKind::kPositive
+                                          : VerdictKind::kNegative)
+        << where;
+  }
+  return skipped_evictions;
+}
+
+// A flow-count bound evicts flows mid-stream, including pairs the deadline
+// pass skipped on every packet: their kEvicted verdicts must still count
+// every packet the flow buffered, and every other verdict must equal the
+// standalone decoder's, packets_seen included.
+TEST(StreamFanOut, EvictionMidStreamMatchesStandaloneDecoders) {
+  for (const std::uint64_t seed : {5u, 6u}) {
+    const FanOutCase fan_out = make_fan_out_case(seed);
+    for (const Algorithm algorithm :
+         {Algorithm::kGreedyPlus, Algorithm::kGreedy}) {
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+        StreamOptions options;
+        options.algorithm = algorithm;
+        options.min_packets = 1;
+        options.table.shards = shards;
+        options.table.max_flows = 3;
+        StreamEngine engine(fan_out.upstreams, parity_config(), options);
+        for (const StreamPacket& packet : fan_out.packets) {
+          engine.ingest(packet);
+        }
+        engine.finish();
+        const std::vector<StreamVerdict> verdicts = engine.drain_verdicts();
+        const std::string label = "seed " + std::to_string(seed) + ", " +
+                                  to_string(algorithm) + ", shards " +
+                                  std::to_string(shards);
+        std::size_t evicted = 0;
+        for (const StreamVerdict& v : verdicts) {
+          evicted += v.kind == VerdictKind::kEvicted;
+        }
+        EXPECT_GT(evicted, 0u) << label;
+        EXPECT_GT(expect_verdicts_match_standalone(fan_out, verdicts,
+                                                   algorithm, label),
+                  0u)
+            << label << ": no eviction hit a pair the pass had skipped";
+      }
+    }
+  }
+}
+
+// snapshot() -> restore() mid-stream: the resumed engine replays each
+// buffer through the deadline pass and must continue exactly as the
+// uninterrupted run does, and as the standalone decoders do.
+TEST(StreamFanOut, SnapshotRestoreMidStreamMatchesStandaloneDecoders) {
+  for (const std::uint64_t seed : {5u, 7u}) {
+    const FanOutCase fan_out = make_fan_out_case(seed);
+    StreamOptions options;
+    options.min_packets = 1;
+    options.table.shards = 2;
+    options.table.max_flows = 8;
+    options.batch_size = 64;
+
+    StreamEngine uninterrupted(fan_out.upstreams, parity_config(), options);
+    for (const StreamPacket& packet : fan_out.packets) {
+      uninterrupted.ingest(packet);
+    }
+    uninterrupted.finish();
+    const std::vector<StreamVerdict> want = uninterrupted.drain_verdicts();
+
+    const std::size_t cut = fan_out.packets.size() / 2;
+    std::vector<StreamVerdict> got;
+    EngineSnapshot snapshot;
+    {
+      StreamEngine first(fan_out.upstreams, parity_config(), options);
+      for (std::size_t s = 0; s < cut; ++s) first.ingest(fan_out.packets[s]);
+      first.flush();
+      got = first.drain_verdicts();
+      snapshot = first.snapshot();
+    }
+    StreamEngine resumed(fan_out.upstreams, parity_config(), options);
+    resumed.restore(snapshot);
+    for (std::size_t s = cut; s < fan_out.packets.size(); ++s) {
+      resumed.ingest(fan_out.packets[s]);
+    }
+    resumed.finish();
+    for (StreamVerdict& v : resumed.drain_verdicts()) {
+      got.push_back(std::move(v));
+    }
+
+    const std::string label = "seed " + std::to_string(seed);
+    std::sort(got.begin(), got.end(),
+              [](const StreamVerdict& a, const StreamVerdict& b) {
+                if (a.flow_seq != b.flow_seq) return a.flow_seq < b.flow_seq;
+                return a.upstream < b.upstream;
+              });
+    ASSERT_EQ(got.size(), want.size()) << label;
+    std::string got_rendered;
+    std::string want_rendered;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      got_rendered += render_verdict(got[i]);
+      want_rendered += render_verdict(want[i]);
+    }
+    EXPECT_EQ(got_rendered, want_rendered) << label;
+    expect_verdicts_match_standalone(fan_out, got, options.algorithm, label);
   }
 }
 
