@@ -1,7 +1,7 @@
 // Deterministic multi-flow streaming corpora.
 //
 // The streaming parity suite, the flow-table stress tests, and the
-// stream-throughput bench all need the same thing: a set of watermarked
+// telemetry tests all need the same thing: a set of watermarked
 // upstream flows, a mixed population of downstream flows (the watermark
 // carriers, adversarially perturbed and chaffed, plus unwatermarked
 // decoys), and that population flattened into one time-ordered packet

@@ -64,11 +64,11 @@ MatchContext MatchContext::build(const Flow& upstream, const Flow& downstream,
   // packets, plus the pruning yield — sampled at every kStride-th packet,
   // accumulated locally, and flushed as one bucket-wise merge so the loop
   // costs no atomics.  Builds run per flow pair on the detection hot path
-  // (bench/decode_cache guards the budget), so the whole observability
-  // pass is a few hundred iterations, not O(packets): a deterministic
-  // stride keeps the distribution shape, and the pruning yield compares
-  // built vs pruned sizes over the same sample, which also keeps every
-  // recorded value schedule-independent.
+  // (BM_MatchContextBuild and the paper_eval benchmark guard the budget),
+  // so the whole observability pass is a few hundred iterations, not
+  // O(packets): a deterministic stride keeps the distribution shape, and
+  // the pruning yield compares built vs pruned sizes over the same sample,
+  // which also keeps every recorded value schedule-independent.
   constexpr std::size_t kStride = 8;
   metrics::HistogramData set_sizes;
   metrics::HistogramData window_widths;

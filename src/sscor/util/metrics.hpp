@@ -6,7 +6,7 @@
 // context object through every layer.  A process-wide registry of named
 // atomic counters/timers does that: any layer bumps its counter, the bench
 // front ends snapshot the registry and print it as a table or dump it as
-// JSON (BENCH_sweeps.json is produced this way).
+// JSON (--metrics / --metrics-json).
 //
 // Counters and timers are thread-safe (relaxed atomics; totals are exact,
 // order-independent integers).  The registry hands out references that stay

@@ -401,41 +401,122 @@ TEST(BatchKernelApi, RejectsMismatchedContextAndBadHypotheses) {
   EXPECT_THROW(batch::BatchDecoder{zero_bound}, InvalidArgument);
 }
 
-TEST(BatchKernelIntegration, CorrelateHypothesesMatchesPerHypothesisRuns) {
-  const auto instance =
-      make_small_instance(251, 1.0, seconds(std::int64_t{1}));
-  const auto config = small_config();
-
-  std::vector<KeySchedule> schedules;
-  std::vector<Watermark> targets;
-  Rng rng(252);
-  schedules.push_back(instance.marked.schedule);
-  targets.push_back(instance.marked.watermark);
-  for (std::uint64_t key = 3900; key < 3905; ++key) {
-    schedules.push_back(KeySchedule::create(
-        small_params(), instance.marked.flow.size(), key));
-    targets.push_back(Watermark::random(small_params().bits, rng));
-  }
+/// One pair scanned under several key hypotheses: results[i] of
+/// correlate_hypotheses must equal the scalar reference run_* on hypothesis
+/// i, and so must a per-detect correlate() that builds its own context.
+/// Both Correlator entry points decode on BatchDecoder, so only the scalar
+/// reference catches a divergence in the shared engine's multi-schedule
+/// replay.
+void expect_hypotheses_match_reference(
+    const Flow& upstream, const std::vector<KeySchedule>& schedules,
+    const std::vector<Watermark>& targets, const Flow& downstream,
+    const CorrelatorConfig& config) {
   std::vector<batch::DecodeHypothesis> hypotheses;
   for (std::size_t i = 0; i < schedules.size(); ++i) {
     hypotheses.push_back({&schedules[i], &targets[i]});
   }
-
   for (const Algorithm algorithm :
-       {Algorithm::kGreedyPlus, Algorithm::kGreedyStar}) {
+       {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar}) {
     SCOPED_TRACE(to_string(algorithm));
     const Correlator correlator(config, algorithm);
-    const auto batched = correlator.correlate_hypotheses(
-        instance.marked.flow, hypotheses, instance.downstream);
+    const auto batched =
+        correlator.correlate_hypotheses(upstream, hypotheses, downstream);
     ASSERT_EQ(batched.size(), hypotheses.size());
     for (std::size_t i = 0; i < hypotheses.size(); ++i) {
       SCOPED_TRACE(i);
-      const WatermarkedFlow hypothesis{instance.marked.flow, schedules[i],
-                                       targets[i]};
+      const KeySchedule& schedule = schedules[i];
+      const Watermark& target = targets[i];
+      const CorrelationResult reference =
+          algorithm == Algorithm::kGreedy
+              ? run_greedy(DecodePlan(schedule, target), upstream, downstream,
+                           config)
+          : algorithm == Algorithm::kGreedyPlus
+              ? run_greedy_plus(schedule, target, upstream, downstream, config)
+              : run_greedy_star(schedule, target, upstream, downstream,
+                                config);
+      expect_same_result(reference, batched[i]);
       expect_same_result(
-          correlator.correlate(hypothesis, instance.downstream), batched[i]);
+          reference, correlator.correlate({upstream, schedule, target},
+                                          downstream));
     }
   }
+}
+
+TEST(BatchKernelIntegration, CorrelateHypothesesMatchesPerHypothesisRuns) {
+  {
+    SCOPED_TRACE("small instance");
+    const auto instance =
+        make_small_instance(251, 1.0, seconds(std::int64_t{1}));
+    std::vector<KeySchedule> schedules{instance.marked.schedule};
+    std::vector<Watermark> targets{instance.marked.watermark};
+    Rng rng(252);
+    for (std::uint64_t key = 3900; key < 3905; ++key) {
+      schedules.push_back(KeySchedule::create(
+          small_params(), instance.marked.flow.size(), key));
+      targets.push_back(Watermark::random(small_params().bits, rng));
+    }
+    expect_hypotheses_match_reference(instance.marked.flow, schedules,
+                                      targets, instance.downstream,
+                                      small_config());
+  }
+
+  // A key scan at the default parameters (24-bit watermark, Delta = 7 s,
+  // h = 7): two 400-packet pairs, each decoded under its true key and three
+  // wrong ones, plus the first upstream against the second pair's
+  // downstream so the matching-reject path replays too.
+  const auto pair_indices = [](const KeySchedule& schedule) {
+    std::vector<std::uint32_t> indices;
+    for (const BitPlan& plan : schedule.bit_plans()) {
+      for (const auto* group : {&plan.group1, &plan.group2}) {
+        for (const PacketPair& pair : *group) {
+          indices.push_back(pair.first);
+          indices.push_back(pair.second);
+        }
+      }
+    }
+    return indices;
+  };
+  const traffic::InteractiveSessionModel model;
+  const Embedder embedder(WatermarkParams{}, 0xfeed);
+  Rng rng(0x7272);
+  std::vector<WatermarkedFlow> marked;
+  std::vector<Flow> downstream;
+  std::vector<std::vector<KeySchedule>> schedules(2);
+  std::vector<std::vector<Watermark>> targets(2);
+  for (std::size_t p = 0; p < 2; ++p) {
+    const std::uint64_t seed = 7000 + p;
+    marked.push_back(embedder.embed(model.generate(400, 0, seed),
+                                    Watermark::random(24, rng)));
+    const traffic::UniformPerturber perturber(seconds(std::int64_t{7}),
+                                              seed + 17);
+    const traffic::PoissonChaffInjector chaff(5.0, seed + 29);
+    downstream.push_back(chaff.apply(perturber.apply(marked[p].flow)));
+    schedules[p].push_back(marked[p].schedule);
+    targets[p].push_back(marked[p].watermark);
+    for (std::uint64_t h = 1; h < 4; ++h) {
+      schedules[p].push_back(KeySchedule::create(
+          WatermarkParams{}, marked[p].flow.size(), seed * 131 + h));
+      targets[p].push_back(Watermark::random(24, rng));
+    }
+    for (std::size_t i = 0; i < schedules[p].size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        ASSERT_NE(pair_indices(schedules[p][i]),
+                  pair_indices(schedules[p][j]));
+      }
+    }
+  }
+  const CorrelatorConfig config;
+  for (std::size_t p = 0; p < 2; ++p) {
+    SCOPED_TRACE("pair " + std::to_string(p));
+    EXPECT_TRUE(Correlator(config, Algorithm::kGreedyPlus)
+                    .correlate(marked[p], downstream[p])
+                    .correlated);
+    expect_hypotheses_match_reference(marked[p].flow, schedules[p],
+                                      targets[p], downstream[p], config);
+  }
+  SCOPED_TRACE("upstream 0 vs downstream 1");
+  expect_hypotheses_match_reference(marked[0].flow, schedules[0], targets[0],
+                                    downstream[1], config);
 }
 
 TEST(BatchKernelIntegration, QimBatchDecodeMatchesScalar) {

@@ -118,12 +118,20 @@ std::vector<std::vector<CorrelationResult>> batch_results(
   return results;
 }
 
-std::vector<StreamVerdict> run_engine(const ParityCase& parity,
-                                      StreamOptions options) {
-  StreamEngine engine(parity.upstreams, parity_config(), std::move(options));
-  for (const StreamPacket& packet : parity.packets) engine.ingest(packet);
+std::vector<StreamVerdict> run_engine(
+    const std::vector<WatermarkedFlow>& upstreams,
+    const std::vector<StreamPacket>& packets, const CorrelatorConfig& config,
+    StreamOptions options) {
+  StreamEngine engine(upstreams, config, std::move(options));
+  for (const StreamPacket& packet : packets) engine.ingest(packet);
   engine.finish();
   return engine.drain_verdicts();
+}
+
+std::vector<StreamVerdict> run_engine(const ParityCase& parity,
+                                      StreamOptions options) {
+  return run_engine(parity.upstreams, parity.packets, parity_config(),
+                    std::move(options));
 }
 
 void expect_identical_result(const CorrelationResult& got,
@@ -256,29 +264,71 @@ TEST(StreamParity, EarlyExitDecisionsAgreeWithBatch) {
   }
 }
 
-// Worker-thread count must never affect verdicts — byte for byte.
+void expect_identical_verdicts(const std::vector<StreamVerdict>& got,
+                               const std::vector<StreamVerdict>& want,
+                               const std::string& run) {
+  ASSERT_EQ(got.size(), want.size()) << run;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string label = run + ", verdict " + std::to_string(i);
+    EXPECT_EQ(got[i].tuple, want[i].tuple) << label;
+    EXPECT_EQ(got[i].flow_seq, want[i].flow_seq) << label;
+    EXPECT_EQ(got[i].upstream, want[i].upstream) << label;
+    EXPECT_EQ(got[i].kind, want[i].kind) << label;
+    EXPECT_EQ(got[i].early, want[i].early) << label;
+    EXPECT_EQ(got[i].packets_seen, want[i].packets_seen) << label;
+    expect_identical_result(got[i].result, want[i].result, label);
+  }
+}
+
+// Worker-thread and shard counts must never affect verdicts — every field,
+// byte for byte, with early exits on.  Two corpora: the randomized parity
+// case, and 2 carriers + 6 decoys at 600 packets/flow under the default
+// 24-bit watermark, run at shards {1, 2, 4, 8} serially and at 8 shards on
+// the pooled default.
 TEST(StreamParity, ThreadCountNeverAffectsVerdicts) {
   const ParityCase parity = make_parity_case(3);
 
   StreamOptions serial;
   serial.table.shards = 8;
   serial.threads = 1;
-  const std::vector<StreamVerdict> golden = run_engine(parity, serial);
-
   StreamOptions threaded = serial;
   threaded.threads = 4;
-  const std::vector<StreamVerdict> verdicts = run_engine(parity, threaded);
+  expect_identical_verdicts(run_engine(parity, threaded),
+                            run_engine(parity, serial), "parity case");
 
-  ASSERT_EQ(verdicts.size(), golden.size());
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    const std::string label = "verdict " + std::to_string(i);
-    EXPECT_EQ(verdicts[i].tuple, golden[i].tuple) << label;
-    EXPECT_EQ(verdicts[i].flow_seq, golden[i].flow_seq) << label;
-    EXPECT_EQ(verdicts[i].upstream, golden[i].upstream) << label;
-    EXPECT_EQ(verdicts[i].kind, golden[i].kind) << label;
-    EXPECT_EQ(verdicts[i].early, golden[i].early) << label;
-    expect_identical_result(verdicts[i].result, golden[i].result, label);
+  experiment::StreamCorpusConfig corpus_config;
+  corpus_config.watermarked_flows = 2;
+  corpus_config.decoy_flows = 6;
+  corpus_config.packets_per_flow = 600;
+  corpus_config.seed = 5;
+  const experiment::StreamCorpus corpus =
+      experiment::make_stream_corpus(corpus_config);
+  CorrelatorConfig config;
+  config.max_delay = seconds(std::int64_t{4});
+  const auto run = [&](std::size_t shards, unsigned threads) {
+    StreamOptions options;
+    options.table.shards = shards;
+    options.threads = threads;
+    return run_engine(corpus.upstreams, corpus.packets, config, options);
+  };
+
+  const std::vector<StreamVerdict> reference = run(1, 1);
+  ASSERT_EQ(reference.size(),
+            corpus.downstream.size() * corpus.upstreams.size());
+  const auto count = [&](auto predicate) {
+    return std::count_if(reference.begin(), reference.end(), predicate);
+  };
+  EXPECT_EQ(count([](const StreamVerdict& v) {
+              return v.kind == VerdictKind::kPositive;
+            }),
+            2);
+  EXPECT_GT(count([](const StreamVerdict& v) { return v.early; }), 0);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
+                                   std::size_t{8}}) {
+    expect_identical_verdicts(run(shards, 1), reference,
+                              "shards " + std::to_string(shards));
   }
+  expect_identical_verdicts(run(8, 0), reference, "shards 8, pooled");
 }
 
 /// One verdict rendered field by field — the full CorrelationResult, cost

@@ -13,11 +13,11 @@
 #      multi-shard ingest stress (StreamStress) — which must report zero
 #      races;
 #   3. configure + build an ASan/UBSan tree
-#      (-DSSCOR_SANITIZE=address,undefined), run the match-context and
-#      batch-kernel parity suites (scalar reference run_* ≡ batched decode
-#      over a context) and the parallel-determinism tests under it, and
-#      smoke-run the decode_cache bench (context per detect vs shared per
-#      pair) with a tiny pair count;
+#      (-DSSCOR_SANITIZE=address,undefined) and run the match-context and
+#      batch-kernel suites under it — scalar reference run_* ≡ batched
+#      decode over a context built per detect or shared, including the
+#      multi-hypothesis key scan (BatchKernelIntegration) — plus the
+#      parallel-determinism tests;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing);
@@ -37,11 +37,11 @@
 #      ASan/UBSan (incremental == batch, byte for byte — DESIGN.md §12),
 #      then an end-to-end `sscor_tool watch` replay of a generated corpus
 #      capture with --metrics-json/--trace-spans, both outputs validated
-#      with trace_check, plus a BENCH_stream.json throughput baseline;
+#      with trace_check (verdicts across shard and thread counts are
+#      pinned by StreamParity.ThreadCountNeverAffectsVerdicts in step 1);
 #   8. batched decode kernel: 600 batch_parity oracle iterations under
 #      ASan/UBSan (scalar reference run_* vs batched SoA decode
-#      byte-identical for every correlator, cost included — DESIGN.md §13)
-#      and a batch_decode bench smoke under the sanitized tree;
+#      byte-identical for every correlator, cost included — DESIGN.md §13);
 #   9. live ops surface: run `sscor_tool watch --stats-addr 127.0.0.1:0
 #      --event-log`, scrape /metrics (strict Prometheus 0.0.4 validation
 #      via trace_check --prom --fetch), /statusz and /healthz (strict
@@ -113,19 +113,14 @@ step_2() {  # ThreadSanitizer build + concurrency smoke tests
     -R 'TsanSmoke|ThreadPool|Parallel|Span|Histogram|DecodeTrace|StreamStress'
 }
 
-step_3() {  # ASan/UBSan build + reference-vs-batched parity + bench smoke
+step_3() {  # ASan/UBSan build + reference-vs-batched parity
   cmake -B "$asan_dir" -S "$repo_root" \
     -DSSCOR_SANITIZE=address,undefined \
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j "$jobs" \
-    --target match_context_test batch_kernel_test parallel_determinism_test \
-             decode_cache
+    --target match_context_test batch_kernel_test parallel_determinism_test
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
     -R 'MatchContext|BatchKernel|Parallel'
-  # 400 packets is near the smallest flow that still fits the default
-  # 24-bit watermark (192 redundant bit pairs).
-  "$asan_dir/bench/decode_cache" --pairs=3 --packets=400 --reps=1 \
-    --json="$asan_dir/BENCH_decode_cache.json"
 }
 
 step_4() {  # trace smoke: end-to-end pipeline with --trace/--trace-spans
@@ -191,10 +186,9 @@ step_6() {  # chaos harness: seeded fault injection under ASan/UBSan
   cmp "$chaos_dir/clean.csv" "$chaos_dir/resumed.csv"
 }
 
-step_7() {  # streaming smoke: parity fuzz + watch e2e + throughput baseline
+step_7() {  # streaming smoke: parity fuzz + watch e2e
   cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz sscor_tool
-  cmake --build "$build_dir" -j "$jobs" \
-    --target sscor_tool trace_check stream_throughput
+  cmake --build "$build_dir" -j "$jobs" --target sscor_tool trace_check
   # 1000 dedicated stream_parity iterations under ASan/UBSan: incremental
   # verdicts/bits/costs byte-identical to batch at shard counts 1 and N.
   "$asan_dir/tools/sscor_fuzz" --oracle stream_parity \
@@ -219,25 +213,16 @@ step_7() {  # streaming smoke: parity fuzz + watch e2e + throughput baseline
   grep -q "POSITIVE" "$watch_dir/watch.out"
   "$check" "$watch_dir/spans.json"
   "$check" "$watch_dir/metrics.json"
-  # Throughput trajectory: packets/sec vs shard count (verdicts must be
-  # identical across every configuration or the bench exits nonzero).
-  "$build_dir/bench/stream_throughput" --flows=2 --packets=600 --seed=5 \
-    --json="$build_dir/BENCH_stream.json"
 }
 
-step_8() {  # batched decode kernel: parity fuzz + bench smoke
-  cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz batch_decode
+step_8() {  # batched decode kernel: parity fuzz
+  cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz
   # 600 batch_parity iterations under ASan/UBSan: every correlator's
   # batched SoA decode (and the multi-hypothesis entry point) must be
   # byte-identical to the scalar reference run_*, the paper's cost metric
   # included.
   "$asan_dir/tools/sscor_fuzz" --oracle batch_parity \
     --iterations 600 --seed 1 --artifacts "$asan_dir/batch-artifacts"
-  # batch_decode exits nonzero unless every batched CorrelationResult is
-  # field-identical to the scalar reference run_greedy_plus, run once per
-  # hypothesis.
-  "$asan_dir/bench/batch_decode" --pairs=2 --packets=400 --hypotheses=4 \
-    --reps=1 --json="$asan_dir/BENCH_batch_decode.json"
 }
 
 step_9() {  # live ops surface: stats endpoints + top + observer-only parity
@@ -457,12 +442,12 @@ step_11() {  # live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak
 step_names=(
   "one-decode-route check + default build + full test suite"
   "ThreadSanitizer build + concurrency smoke tests"
-  "ASan/UBSan build + reference-vs-batched parity + bench smoke"
+  "ASan/UBSan build + reference-vs-batched parity"
   "trace smoke: end-to-end pipeline with --trace/--trace-spans"
   "differential fuzz smoke under ASan/UBSan"
   "chaos harness: seeded fault injection under ASan/UBSan"
-  "streaming smoke: parity fuzz + watch e2e + throughput baseline"
-  "batched decode kernel: parity fuzz + bench smoke"
+  "streaming smoke: parity fuzz + watch e2e"
+  "batched decode kernel: parity fuzz"
   "live ops surface: stats endpoints + top + observer-only parity"
   "cluster sweep: journal-merge fuzz + 4-shard kill/resume/merge"
   "live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak"

@@ -412,6 +412,11 @@ int cmd_detect(const Args& args) {
                  "algorithms, not --robust; ignored\n");
   }
 
+  const Correlator correlator(config, algorithm);
+  const ResilientCorrelator resilient(config, algorithm, resilience);
+  metrics::Counter& detections_run = metrics::counter("tool.detections_run");
+  metrics::Counter& packets_accessed =
+      metrics::counter("tool.packets_accessed");
   int correlated = 0;
   const metrics::ScopedTimer timer("tool.detect");
   for (const auto& up : upstream) {
@@ -427,13 +432,12 @@ int cmd_detect(const Args& args) {
       if (robust) {
         r = correlate_robust(config, handle, down.flow);
       } else if (resilience.enabled()) {
-        r = ResilientCorrelator(config, algorithm, resilience)
-                .correlate(handle, down.flow);
+        r = resilient.correlate(handle, down.flow);
       } else {
-        r = Correlator(config, algorithm).correlate(handle, down.flow);
+        r = correlator.correlate(handle, down.flow);
       }
-      metrics::counter("tool.detections_run").add(1);
-      metrics::counter("tool.packets_accessed").add(r.cost);
+      detections_run.add(1);
+      packets_accessed.add(r.cost);
       std::string annotation;
       if (r.degraded) {
         annotation = ", degraded to " + to_string(r.algorithm);
